@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -257,7 +256,6 @@ def _gramian_results(sc: Scenario) -> dict:
         "signature_mode": result.signature_mode,
         "horizon": result.horizon,
         "margin": result.margin,
-        "joint_margin": result.joint_margin,
         "positive_definite": result.positive_definite,
         "observability_constant": constant,
         "all_zero_signatures": result.all_zero_signatures,
@@ -383,18 +381,29 @@ def _parse_range(spec: str) -> tuple[float, float, int]:
     return a, b, n
 
 
-@lru_cache(maxsize=32)
-def _blind_members_1d(truncation: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    state = {Fraction(k, n) for n in range(2, truncation + 1) for k in range(1, n)}
-    gradient = {Fraction(2 * k + 1, 2 * n) for n in range(1, truncation + 1)
-                for k in range(0, n)}
-    return tuple(sorted(state)), tuple(sorted(gradient))
+def _nearest_blind_1d(b: float, truncation: int,
+                      gradient: bool) -> tuple[Fraction, float] | None:
+    """Blind-set member nearest to b among indices n <= truncation.
 
-
-def _nearest_member(members: tuple[Fraction, ...], value: float) -> tuple[Fraction, float]:
-    floats = np.array([float(m) for m in members])
-    k = int(np.argmin(np.abs(floats - value)))
-    return members[k], abs(floats[k] - value)
+    The state set holds k/n (2 <= n, 1 <= k < n), the gradient set
+    (2k+1)/(2n) (1 <= n, 0 <= k < n).  For each n only the two numerators
+    bracketing n*b (after the half shift) can be nearest.  Distances are
+    taken between floats; a tie goes to the smaller member.  None when the
+    set is empty.
+    """
+    shift = 0.5 if gradient else 0.0
+    n = np.arange(1 if gradient else 2, truncation + 1)
+    if not n.size:
+        return None
+    k = np.floor(n * b - shift)
+    n = np.concatenate([n, n])
+    k = np.clip(np.concatenate([k, k + 1]), 0 if gradient else 1, n - 1)
+    values = (k + shift) / n
+    dist = np.abs(values - b)
+    best = np.lexsort((values, dist))[0]
+    kb, nb = int(k[best]), int(n[best])
+    member = Fraction(2 * kb + 1, 2 * nb) if gradient else Fraction(kb, nb)
+    return member, dist[best]
 
 
 def location_scan(sc: Scenario, grid_spec: str | None = None) -> list[dict]:
@@ -415,10 +424,8 @@ def location_scan(sc: Scenario, grid_spec: str | None = None) -> list[dict]:
         if not sc.domain.contains([float(c) for c in point], strict=True):
             raise ValidationError(f"scan grid point {point!r} is outside the domain")
 
-    resolution = _grid_resolution(candidates)
+    resolution = _grid_resolution([float(c[0]) for c in candidates])
     trace_gram = gradient_gram(sc.basis, sc.region, sc.quad)
-    state_members, gradient_members = (_blind_members_1d(sc.basis.truncation)
-                                       if sc.domain.dim == 1 else (None, None))
     rows = []
     for point in candidates:
         sensor = PointwiseSensor(location=tuple(point))
@@ -435,28 +442,25 @@ def location_scan(sc: Scenario, grid_spec: str | None = None) -> list[dict]:
         }
         if sc.domain.dim == 1:
             b = float(point[0]) / sc.domain.lengths[0]
-            member, dist = _nearest_member(state_members, b)
-            if dist <= resolution:
-                row["nearest_state_blind"] = {"location": member, "distance": dist}
-            member, dist = _nearest_member(gradient_members, b)
-            if dist <= resolution:
-                row["nearest_gradient_blind"] = {"location": member, "distance": dist}
+            for key, gradient in (("nearest_state_blind", False),
+                                  ("nearest_gradient_blind", True)):
+                nearest = _nearest_blind_1d(b, sc.basis.truncation, gradient)
+                if nearest is not None and nearest[1] <= resolution:
+                    row[key] = {"location": nearest[0], "distance": nearest[1]}
         rows.append(row)
     return rows
 
 
 def _scan_results(sc: Scenario, grid_spec: str | None) -> dict:
     spec = grid_spec if grid_spec is not None else sc.scan_grid
-    if spec is None:
-        raise ValidationError('scan needs a grid: pass --grid or set "scan.grid"')
     rows = location_scan(sc, spec)
-    resolution = _grid_resolution(parse_scan_grid(spec, sc.domain))
+    resolution = _grid_resolution([row["b1"] for row in rows])
     return {"grid": spec, "resolution": resolution,
             "signature_mode": sc.signature_mode, "horizon": sc.horizon, "rows": rows}
 
 
-def _grid_resolution(candidates: list[tuple]) -> float:
-    values = sorted({float(c[0]) for c in candidates})
+def _grid_resolution(coords: list[float]) -> float:
+    values = sorted(set(coords))
     if len(values) < 2:
         return float("inf")
     diffs = np.diff(values)

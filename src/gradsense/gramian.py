@@ -7,12 +7,6 @@ definiteness of the Gramian on the span of the gradient traces over the
 region is certified per eigenvalue group through the generalized
 eigenproblem against the corresponding block of the gradient Gram matrix;
 the margin is the smallest of those group eigenvalues.
-
-The joint all-modes pencil is also solved and reported, but only as a
-diagnostic: the Gram matrix of decaying exponentials is so ill-conditioned
-(smallest eigenvalue around 1e-13 for twelve modes on a unit window) that
-its smallest generalized eigenvalue sits at the double-precision floor for
-every sensor placement, strategic or not, and cannot separate the two.
 """
 
 from __future__ import annotations
@@ -70,14 +64,11 @@ class GramianResult:
     trace_gram: gradient-trace Gram over the region (W).
     margin: smallest per-group generalized eigenvalue of (A, W) blocks,
     clamped at zero; the strategic verdict is margin > margin_tol.
-    joint_margin: raw smallest generalized eigenvalue of the full pencil,
-    diagnostic only (see module docstring).
     """
 
     output_gram: np.ndarray
     trace_gram: np.ndarray
     margin: float
-    joint_margin: float
     group_margins: tuple[GroupMargin, ...]
     positive_definite: bool
     constant: float
@@ -167,8 +158,6 @@ def assemble_gramian(basis: ModalBasis, sensors: list[Sensor], region: Subregion
     if math.isinf(overall):
         overall = 0.0
 
-    joint, _ = _whitened_pencil_min(A, W, trace_rank_tol)
-
     all_zero = bool(np.all(np.abs(sig) == 0.0))
     positive = overall > margin_tol
     constant = 1.0 / math.sqrt(overall) if positive else math.inf
@@ -177,7 +166,6 @@ def assemble_gramian(basis: ModalBasis, sensors: list[Sensor], region: Subregion
         output_gram=A,
         trace_gram=W,
         margin=overall,
-        joint_margin=joint,
         group_margins=tuple(group_margins),
         positive_definite=positive,
         constant=constant,

@@ -28,7 +28,7 @@ from .sensors import (
     signature_matrix,
     validate_sensor,
 )
-from .spectral import Mode, ModalBasis, Subregion, gradient_gram
+from .spectral import Mode, ModalBasis, Subregion, _as_float, gradient_gram
 
 DEFAULT_RANK_RTOL = 1e-10
 DEFAULT_GROUPING_RTOL = 1e-9
@@ -309,9 +309,13 @@ def forbidden_sets_1d(b, max_index: int, tol: float = DEFAULT_BLIND_TOL,
 class ExactJointVerdict:
     """Exact strategic verdict for rational pointwise locations in 1D.
 
-    Certified for every mode index, not just up to a truncation: the
-    vanishing pattern of sin/cos at rational multiples of pi is periodic,
-    so a finite enumeration covers all n.
+    Certified for every mode index, not just up to a truncation.  With
+    b_i = p_i/q_i reduced, sin(n pi b_i) = 0 exactly when q_i | n, and
+    cos(n pi b_i) = 0 exactly when q_i is even and n is an odd multiple of
+    q_i/2.  The smallest common blind mode is therefore lcm(q_i) for the
+    state test, and lcm(q_i/2) for the gradient test when every q_i is
+    even with the same power of 2; otherwise no gradient-blind mode exists.
+    ``period`` = lcm(2 q_i) is the period of the joint vanishing pattern.
     """
 
     state_strategic: bool
@@ -324,11 +328,10 @@ class ExactJointVerdict:
 def exact_pointwise_verdict_1d(locations: list[Fraction]) -> ExactJointVerdict:
     """Joint exact test for a suite of rational pointwise sensors on (0, 1).
 
-    The suite fails the state test at mode n when every location has
-    sin(n pi b_i) = 0, i.e. q_i | n for all i; n = lcm(q_i) always works,
-    so no rational suite is state strategic.  It fails the gradient test
-    at n when 2 n p_i = q_i (mod 2 q_i) for all i, checked over one period
-    lcm(2 q_i).
+    No rational suite is state strategic: every sine vanishes at
+    n = lcm(q_i).  The suite fails the gradient test exactly when all
+    reduced denominators q_i are even with equal powers of 2, and its first
+    gradient-blind mode is then lcm(q_i/2) (see ExactJointVerdict).
     """
     if not locations:
         raise ValidationError("empty location list")
@@ -338,13 +341,14 @@ def exact_pointwise_verdict_1d(locations: list[Fraction]) -> ExactJointVerdict:
         if f is None or not 0 < f < 1:
             raise ValidationError(f"exact joint verdict needs rational locations in (0, 1), got {b!r}")
         fracs.append(f)
-    state_witness = math.lcm(*(f.denominator for f in fracs))
-    period = math.lcm(*(2 * f.denominator for f in fracs))
+    denominators = [f.denominator for f in fracs]
+    state_witness = math.lcm(*denominators)
+    period = math.lcm(*(2 * q for q in denominators))
+    # q & -q is the largest power of 2 dividing q; it is 1 for odd q
+    two_powers = {q & -q for q in denominators}
     gradient_witness = None
-    for n in range(1, period + 1):
-        if all((2 * n * f.numerator) % (2 * f.denominator) == f.denominator for f in fracs):
-            gradient_witness = n
-            break
+    if len(two_powers) == 1 and two_powers != {1}:
+        gradient_witness = math.lcm(*(q // 2 for q in denominators))
     return ExactJointVerdict(
         state_strategic=False,
         gradient_strategic=gradient_witness is None,
@@ -383,7 +387,6 @@ def _axis_ratio(index: int, coord, lo, hi, tol: float) -> tuple[float, bool, boo
     if cf is not None and lof is not None and hif is not None:
         v = index * (cf - lof) / (hif - lof)
         return float(v), (v.denominator == 1 and v >= 0), True
-    from .spectral import _as_float
     v = index * (_as_float(coord) - _as_float(lo)) / (_as_float(hi) - _as_float(lo))
     return v, bool(v >= -tol and abs(v - round(v)) <= tol), False
 
@@ -479,7 +482,7 @@ def closed_form_condition(sensor: Sensor, region: Subregion, truncation: int,
                 first_failure = cond
     return ClosedFormResult(
         sensor_kind=sensor.kind,
-        reference_point=(float(_to_float(ref[0])), float(_to_float(ref[1]))),
+        reference_point=(float(ref[0]), float(ref[1])),
         truncation=truncation,
         pairs=tuple(pairs),
         all_pass=first_failure is None,
@@ -492,11 +495,7 @@ def _half_sum(lo, hi):
     lof, hif = _as_fraction(lo), _as_fraction(hi)
     if lof is not None and hif is not None:
         return (lof + hif) / 2
-    return 0.5 * (_to_float(lo) + _to_float(hi))
-
-
-def _to_float(x) -> float:
-    return float(x)
+    return 0.5 * (float(lo) + float(hi))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gradsense.cli
 from gradsense.cli import main
-from gradsense.commands import location_scan, parse_scan_grid, run_command
+from gradsense.commands import _nearest_blind_1d, location_scan, parse_scan_grid, run_command
 from gradsense.errors import ValidationError
 from gradsense.report import Report, emit_report, format_float, report_to_json
 from gradsense.scenario import parse_scenario
@@ -237,6 +239,35 @@ sensor.1.location = 0.3, 0.4
         assert half["nearest_gradient_blind"]["location"] == Fraction(1, 2)
         assert half["nearest_gradient_blind"]["distance"] == 0.0
 
+    def test_truncation_one_has_no_state_blind_members(self, tmp_path, capsys):
+        # the state blind set {k/n : 2 <= n <= T} is empty at T = 1
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(BASE.replace("basis.truncation = 12", "basis.truncation = 1"),
+                       encoding="utf-8")
+        assert main(["scan", "--config", str(cfg), "--grid", "0.1:0.9:9"]) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+        assert all("nearest_state_blind" not in r for r in rows)
+        half = next(r for r in rows if r["b1"] == 0.5)
+        assert half["nearest_gradient_blind"] == {"location": "1/2", "distance": 0.0}
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 40), st.booleans(), st.data())
+    def test_nearest_member_matches_enumeration(self, truncation, gradient, data):
+        members = enumerated_blind_members(truncation, gradient)
+        floats = [float(m) for m in members]
+        b = data.draw(st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.sampled_from(floats or [0.5]),
+            st.sampled_from([0.5 * (x + y) for x, y in zip(floats, floats[1:])] or [0.5])))
+        nearest = _nearest_blind_1d(b, truncation, gradient)
+        if not members:
+            assert nearest is None
+            return
+        values = np.array(floats)
+        k = int(np.argmin(np.abs(values - b)))
+        assert nearest[0] == members[k]
+        assert repr(nearest[1]) == repr(abs(values[k] - b))
+
     def test_scan_needs_grid(self):
         with pytest.raises(ValidationError, match="grid"):
             run_command(parse_scenario(BASE), "scan")
@@ -244,6 +275,16 @@ sensor.1.location = 0.3, 0.4
     def test_point_outside_domain(self):
         with pytest.raises(ValidationError, match="outside"):
             location_scan(parse_scenario(BASE), "0.5, 1.5")
+
+
+def enumerated_blind_members(truncation: int, gradient: bool) -> list[Fraction]:
+    """Sorted blind set up to the truncation: (2k+1)/(2n) for gradient, else k/n."""
+    if gradient:
+        members = {Fraction(2 * k + 1, 2 * n) for n in range(1, truncation + 1)
+                   for k in range(n)}
+    else:
+        members = {Fraction(k, n) for n in range(2, truncation + 1) for k in range(1, n)}
+    return sorted(members)
 
 
 class TestEmission:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradsense.errors import ValidationError
 from gradsense.sensors import FilamentSensor, PointwiseSensor, ZonalSensor
@@ -266,6 +268,39 @@ class TestExactJointVerdict:
     def test_rejects_floats(self):
         with pytest.raises(ValidationError):
             exact_pointwise_verdict_1d([0.5])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(2, 30).flatmap(
+        lambda q: st.integers(1, q - 1).map(lambda p: Fraction(p, q))),
+        min_size=1, max_size=4))
+    def test_closed_form_matches_period_search(self, locations):
+        v = exact_pointwise_verdict_1d(locations)
+        assert v.gradient_witness == brute_force_gradient_witness(locations)
+        assert v.gradient_strategic == (v.gradient_witness is None)
+        assert v.state_witness == math.lcm(*(f.denominator for f in locations))
+
+    def test_odd_prime_denominators_have_no_gradient_witness(self):
+        v = exact_pointwise_verdict_1d(
+            [Fraction(1, p) for p in (3, 5, 7, 11, 13, 17, 19, 23)])
+        assert v.gradient_strategic and v.gradient_witness is None
+        assert v.period == 223_092_870
+
+    def test_large_common_witness(self):
+        v = exact_pointwise_verdict_1d([Fraction(1, 194), Fraction(1, 202), Fraction(1, 206)])
+        assert not v.gradient_strategic
+        assert v.gradient_witness == 1_009_091
+
+
+def brute_force_gradient_witness(locations):
+    """Smallest n with 2 n p_i = q_i (mod 2 q_i) for every location, searched over
+    one period lcm(2 q_i); None when no n in the period works."""
+    period = math.lcm(*(2 * f.denominator for f in locations))
+    n = np.arange(1, period + 1, dtype=np.int64)
+    hit = np.ones(period, dtype=bool)
+    for f in locations:
+        hit &= (2 * n * f.numerator) % (2 * f.denominator) == f.denominator
+    found = np.flatnonzero(hit)
+    return int(found[0]) + 1 if found.size else None
 
 
 class TestClosedFormCondition:
