@@ -21,7 +21,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ValidationError
-from .gramian import assemble_gramian, observability_constant
+from .gramian import assemble_gramian, observability_constant, pointwise_margins
 from .reconstruct import (
     estimate_coefficients,
     gradient_field_on_region,
@@ -30,13 +30,15 @@ from .reconstruct import (
 from .report import Report
 from .scenario import Scenario, parse_number
 from .sensors import PointwiseSensor, simulate_output
-from .spectral import gradient_gram
+from .spectral import eigenfunction_gradients, eigenfunction_values
 from .strategic import (
     basis_split,
     closed_form_condition,
     exact_pointwise_verdict_1d,
     forbidden_sets_1d,
+    group_eigenvalues,
     rank_test,
+    rank_verdicts,
     residual_independence_check,
 )
 
@@ -326,12 +328,19 @@ def _reconstruct_results(sc: Scenario, seed: int) -> dict:
     }
 
 
-def parse_scan_grid(spec: str, domain) -> list[tuple]:
+# Largest candidate count x mode count a scan accepts.  The scan holds a
+# few (candidates, modes) float arrays at once, 16 MB each at this size.
+MAX_SCAN_ENTRIES = 2_000_000
+
+
+def parse_scan_grid(spec: str, domain, n_modes: int = 1) -> list[tuple]:
     """Parse a candidate-location grid.
 
     1D: "a:b:n" (n points from a to b inclusive) or "v1,v2,...".
     2D: "NxM" (interior lattice of the domain), "a:b:n,a:b:n" (per-axis
     ranges, tensor product), or "x,y; x,y; ..." explicit points.
+    A grid whose candidate count times ``n_modes`` exceeds
+    MAX_SCAN_ENTRIES is rejected before any candidate is built.
     """
     spec = spec.strip()
     if not spec:
@@ -339,14 +348,16 @@ def parse_scan_grid(spec: str, domain) -> list[tuple]:
     if domain.dim == 1:
         if ":" in spec:
             a, b, n = _parse_range(spec)
+            _check_grid_size(spec, n, n_modes)
             return [(v,) for v in np.linspace(a, b, n)]
-        return [(parse_number(chunk),) for chunk in spec.split(",") if chunk.strip()]
+        chunks = [chunk for chunk in spec.split(",") if chunk.strip()]
+        _check_grid_size(spec, len(chunks), n_modes)
+        return [(parse_number(chunk),) for chunk in chunks]
     if ";" in spec:
+        chunks = [chunk.strip() for chunk in spec.split(";") if chunk.strip()]
+        _check_grid_size(spec, len(chunks), n_modes)
         points = []
-        for chunk in spec.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
+        for chunk in chunks:
             coords = [parse_number(c) for c in chunk.split(",")]
             if len(coords) != 2:
                 raise ValidationError(f"scan grid point {chunk!r} needs 2 coordinates")
@@ -359,6 +370,7 @@ def parse_scan_grid(spec: str, domain) -> list[tuple]:
             raise ValidationError(f"bad lattice spec {spec!r}; expected like 8x8") from None
         if n1 < 1 or n2 < 1:
             raise ValidationError(f"lattice spec {spec!r} needs positive counts")
+        _check_grid_size(spec, n1 * n2, n_modes)
         xs = [domain.lengths[0] * i / (n1 + 1) for i in range(1, n1 + 1)]
         ys = [domain.lengths[1] * j / (n2 + 1) for j in range(1, n2 + 1)]
         return [(x, y) for x in xs for y in ys]
@@ -367,7 +379,15 @@ def parse_scan_grid(spec: str, domain) -> list[tuple]:
         raise ValidationError(f"bad 2D scan grid {spec!r}")
     a1, b1, n1 = _parse_range(parts[0])
     a2, b2, n2 = _parse_range(parts[1])
+    _check_grid_size(spec, n1 * n2, n_modes)
     return [(x, y) for x in np.linspace(a1, b1, n1) for y in np.linspace(a2, b2, n2)]
+
+
+def _check_grid_size(spec: str, count: int, n_modes: int) -> None:
+    if count * n_modes > MAX_SCAN_ENTRIES:
+        raise ValidationError(
+            f"scan grid {spec!r} has {count} candidates; times {n_modes} modes that "
+            f"exceeds the limit of {MAX_SCAN_ENTRIES} candidate-mode entries")
 
 
 def _parse_range(spec: str) -> tuple[float, float, int]:
@@ -381,29 +401,34 @@ def _parse_range(spec: str) -> tuple[float, float, int]:
     return a, b, n
 
 
-def _nearest_blind_1d(b: float, truncation: int,
-                      gradient: bool) -> tuple[Fraction, float] | None:
-    """Blind-set member nearest to b among indices n <= truncation.
+def _nearest_blind_1d(b: np.ndarray, truncation: int, gradient: bool
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Blind-set member nearest to each location b among indices n <= truncation.
 
     The state set holds k/n (2 <= n, 1 <= k < n), the gradient set
-    (2k+1)/(2n) (1 <= n, 0 <= k < n).  For each n only the two numerators
-    bracketing n*b (after the half shift) can be nearest.  Distances are
-    taken between floats; a tie goes to the smaller member.  None when the
-    set is empty.
+    (2k+1)/(2n) (1 <= n, 0 <= k < n), both on the unit interval.  For each
+    n only the two numerators bracketing n*b (after the half shift) can be
+    nearest.  Distances are taken between floats; a tie goes to the
+    smaller member.  Returns, per location, the member as an unreduced
+    numerator and denominator and its distance; None when the set is empty.
     """
     shift = 0.5 if gradient else 0.0
     n = np.arange(1 if gradient else 2, truncation + 1)
     if not n.size:
         return None
+    b = np.asarray(b, dtype=float)[:, None]
     k = np.floor(n * b - shift)
     n = np.concatenate([n, n])
-    k = np.clip(np.concatenate([k, k + 1]), 0 if gradient else 1, n - 1)
+    k = np.clip(np.concatenate([k, k + 1], axis=1), 0 if gradient else 1, n - 1)
     values = (k + shift) / n
     dist = np.abs(values - b)
-    best = np.lexsort((values, dist))[0]
-    kb, nb = int(k[best]), int(n[best])
-    member = Fraction(2 * kb + 1, 2 * nb) if gradient else Fraction(kb, nb)
-    return member, dist[best]
+    nearest = dist.min(axis=1, keepdims=True)
+    best = np.where(dist == nearest, values, np.inf).argmin(axis=1)
+    k = np.take_along_axis(k, best[:, None], axis=1)[:, 0].astype(int)
+    n = n[best]
+    if gradient:
+        return 2 * k + 1, 2 * n, nearest[:, 0]
+    return k, n, nearest[:, 0]
 
 
 def location_scan(sc: Scenario, grid_spec: str | None = None) -> list[dict]:
@@ -411,44 +436,64 @@ def location_scan(sc: Scenario, grid_spec: str | None = None) -> list[dict]:
 
     Each row carries the location, both strategic verdicts at the
     scenario's truncation, the Gramian margin, and in 1D the nearest blind
-    set member when it lies within the grid resolution.  Rows depend only
-    on their own candidate, so any sub-grid reproduces the matching rows.
+    set member when it lies within the grid resolution.
+
+    The scan is batched: one evaluation gives every candidate's state and
+    gradient signatures, the eigenvalue groups, time correlations, trace
+    Gram and its per-group whitening are computed once, and each group's
+    rank and pencil problems are solved for all candidates in one stacked
+    call.  Each candidate keeps its own rank threshold, so rows depend only
+    on their own candidate and any sub-grid reproduces the matching rows.
     """
     spec = grid_spec if grid_spec is not None else sc.scan_grid
     if spec is None:
         raise ValidationError('scan needs a grid: pass --grid or set "scan.grid"')
-    candidates = parse_scan_grid(spec, sc.domain)
+    candidates = parse_scan_grid(spec, sc.domain, sc.basis.n_modes)
     if not candidates:
         raise ValidationError("empty scan grid")
-    for point in candidates:
-        if not sc.domain.contains([float(c) for c in point], strict=True):
-            raise ValidationError(f"scan grid point {point!r} is outside the domain")
+    points = np.array([[float(c) for c in point] for point in candidates])
+    inside = np.all((points > 0.0) & (points < np.array(sc.domain.lengths)), axis=1)
+    if not inside.all():
+        point = candidates[int(np.argmin(inside))]
+        raise ValidationError(f"scan grid point {point!r} is outside the domain")
 
-    resolution = _grid_resolution([float(c[0]) for c in candidates])
-    trace_gram = gradient_gram(sc.basis, sc.region, sc.quad)
-    rows = []
-    for point in candidates:
-        sensor = PointwiseSensor(location=tuple(point))
-        verdict = rank_test(sc.basis, [sensor], sc.rank_rtol, sc.grouping_rtol, sc.quad)
-        gram = assemble_gramian(sc.basis, [sensor], sc.region, sc.horizon,
-                                sc.signature_mode, sc.quad, sc.grouping_rtol,
-                                sc.margin_tol, trace_gram=trace_gram)
-        row = {
-            "b1": float(point[0]),
-            "b2": float(point[1]) if sc.domain.dim == 2 else None,
-            "state_strategic": verdict.state_strategic,
-            "gradient_strategic": verdict.gradient_strategic,
-            "margin": gram.margin,
-        }
-        if sc.domain.dim == 1:
-            b = float(point[0]) / sc.domain.lengths[0]
-            for key, gradient in (("nearest_state_blind", False),
-                                  ("nearest_gradient_blind", True)):
-                nearest = _nearest_blind_1d(b, sc.basis.truncation, gradient)
-                if nearest is not None and nearest[1] <= resolution:
-                    row[key] = {"location": nearest[0], "distance": nearest[1]}
-        rows.append(row)
+    groups = group_eigenvalues(sc.basis, sc.grouping_rtol)
+    grad_sig = eigenfunction_gradients(sc.basis, points).sum(axis=1).T
+    state_sig = eigenfunction_values(sc.basis, points).T
+    margins = pointwise_margins(
+        sc.basis, groups, grad_sig if sc.signature_mode == "gradient" else state_sig,
+        sc.region, sc.horizon, sc.signature_mode, sc.quad)
+    grad_ok = rank_verdicts(groups, grad_sig[:, None, :], sc.rank_rtol)
+    state_ok = rank_verdicts(groups, state_sig[:, None, :], sc.rank_rtol)
+    rows = [{
+        "b1": float(p[0]),
+        "b2": float(p[1]) if sc.domain.dim == 2 else None,
+        "state_strategic": bool(state),
+        "gradient_strategic": bool(grad),
+        "margin": float(margin),
+    } for p, state, grad, margin in zip(points, state_ok, grad_ok, margins)]
+    if sc.domain.dim == 1:
+        _attach_nearest_blind(rows, points[:, 0], sc.domain.lengths[0],
+                              sc.basis.truncation)
     return rows
+
+
+def _attach_nearest_blind(rows: list[dict], b: np.ndarray, length: float,
+                          truncation: int) -> None:
+    """Add the nearest blind members that lie within the grid resolution.
+
+    The member's location is on the unit interval; its distance to the
+    candidate is in domain units, like the resolution it is compared with.
+    """
+    resolution = _grid_resolution(b)
+    for key, gradient in (("nearest_state_blind", False),
+                          ("nearest_gradient_blind", True)):
+        nearest = _nearest_blind_1d(b / length, truncation, gradient)
+        if nearest is None:
+            continue
+        for row, p, q, dist in zip(rows, *nearest[:2], length * nearest[2]):
+            if dist <= resolution:
+                row[key] = {"location": Fraction(int(p), int(q)), "distance": float(dist)}
 
 
 def _scan_results(sc: Scenario, grid_spec: str | None) -> dict:
@@ -459,8 +504,8 @@ def _scan_results(sc: Scenario, grid_spec: str | None) -> dict:
             "signature_mode": sc.signature_mode, "horizon": sc.horizon, "rows": rows}
 
 
-def _grid_resolution(coords: list[float]) -> float:
-    values = sorted(set(coords))
+def _grid_resolution(coords) -> float:
+    values = np.unique(coords)
     if len(values) < 2:
         return float("inf")
     diffs = np.diff(values)

@@ -20,7 +20,7 @@ from .errors import ValidationError
 from .quadrature import QuadratureSpec
 from .sensors import Sensor, signature_matrix, validate_sensor
 from .spectral import ModalBasis, Subregion, gradient_gram
-from .strategic import DEFAULT_GROUPING_RTOL, group_eigenvalues
+from .strategic import DEFAULT_GROUPING_RTOL, EigenGroup, group_eigenvalues
 
 DEFAULT_MARGIN_TOL = 1e-10
 DEFAULT_TRACE_RANK_TOL = 1e-12
@@ -95,16 +95,54 @@ def _correlation_matrix(eigenvalues: np.ndarray, horizon: float) -> np.ndarray:
 
 
 def _whitened_pencil_min(A: np.ndarray, W: np.ndarray,
-                         trace_rank_tol: float) -> tuple[float, int]:
-    """Smallest eigenvalue of the pencil (A, W) on the numerical range of W."""
+                         trace_rank_tol: float) -> tuple[np.ndarray, int]:
+    """Smallest eigenvalue of each pencil (A[b], W) on the numerical range of W.
+
+    ``A`` is an (m, m) output-Gram block or a (..., m, m) batch of them
+    sharing the trace-Gram block ``W``, which is whitened once for the
+    whole batch.  Returns the eigenvalues, shaped like A's batch axes, and
+    the numerical rank of W.
+    """
     Ws = 0.5 * (W + W.T)
     evals, vecs = np.linalg.eigh(Ws)
     keep = evals > trace_rank_tol * max(float(evals.max()), 0.0)
     if not np.any(keep):
-        return 0.0, 0
+        return np.zeros(A.shape[:-2]), 0
     basis_cols = vecs[:, keep] / np.sqrt(evals[keep])
-    M = basis_cols.T @ (0.5 * (A + A.T)) @ basis_cols
-    return float(np.linalg.eigvalsh(M)[0]), int(np.count_nonzero(keep))
+    M = basis_cols.T @ (0.5 * (A + A.swapaxes(-1, -2))) @ basis_cols
+    return np.linalg.eigvalsh(M)[..., 0], int(np.count_nonzero(keep))
+
+
+def _group_margins(groups: list[EigenGroup], block, W: np.ndarray,
+                   trace_rank_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-group margins of a batch of output Grams against one trace Gram.
+
+    ``block(idx)`` returns the (B, m, m) output-Gram blocks over the mode
+    indices ``idx`` of one group.  Returns the group margins clamped at
+    zero (B, n_groups), the trace ranks (n_groups,), and each batch
+    member's margin: the smallest group margin over groups of positive
+    trace rank, zero when there is none.
+    """
+    margins, ranks = [], []
+    for g in groups:
+        idx = list(g.indices)
+        m, kept = _whitened_pencil_min(block(idx), W[np.ix_(idx, idx)], trace_rank_tol)
+        margins.append(m)
+        ranks.append(kept)
+    margins = np.stack(margins, axis=1)
+    margins = np.where(margins > 0.0, margins, 0.0)
+    ranks = np.array(ranks)
+    overall = np.where(ranks > 0, margins, math.inf).min(axis=1)
+    return margins, ranks, np.where(np.isinf(overall), 0.0, overall)
+
+
+def _validate_gramian_inputs(basis: ModalBasis, region: Subregion, horizon: float,
+                             signature_mode: str) -> None:
+    if horizon <= 0 and not math.isinf(horizon):
+        raise ValidationError(f"measurement horizon must be positive, got {horizon}")
+    region.validate_in(basis.domain)
+    if signature_mode not in ("gradient", "state"):
+        raise ValidationError(f"unknown signature mode {signature_mode!r}")
 
 
 def assemble_gramian(basis: ModalBasis, sensors: list[Sensor], region: Subregion,
@@ -122,15 +160,11 @@ def assemble_gramian(basis: ModalBasis, sensors: list[Sensor], region: Subregion
     ``trace_gram`` may be passed to amortize quadrature across calls with
     identical basis and region.
     """
-    if horizon <= 0 and not math.isinf(horizon):
-        raise ValidationError(f"measurement horizon must be positive, got {horizon}")
+    _validate_gramian_inputs(basis, region, horizon, signature_mode)
     if not sensors:
         raise ValidationError("empty sensor list")
     for s in sensors:
         validate_sensor(s, basis.domain)
-    region.validate_in(basis.domain)
-    if signature_mode not in ("gradient", "state"):
-        raise ValidationError(f"unknown signature mode {signature_mode!r}")
 
     sig = signature_matrix(basis, sensors, signature_mode, quad)
     tau = _correlation_matrix(basis.eigenvalues, horizon)
@@ -140,23 +174,13 @@ def assemble_gramian(basis: ModalBasis, sensors: list[Sensor], region: Subregion
     W = trace_gram if trace_gram is not None else gradient_gram(basis, region, quad)
 
     groups = group_eigenvalues(basis, grouping_rtol)
-    group_margins = []
-    overall = math.inf
-    deficient = False
-    for g in groups:
-        idx = list(g.indices)
-        m, kept = _whitened_pencil_min(A[np.ix_(idx, idx)], W[np.ix_(idx, idx)],
-                                       trace_rank_tol)
-        m = max(0.0, m)
-        is_deficient = kept < g.multiplicity
-        deficient = deficient or is_deficient
-        group_margins.append(GroupMargin(
-            eigenvalue=g.eigenvalue, multiplicity=g.multiplicity,
-            margin=m, trace_rank=kept, rank_deficient=is_deficient))
-        if kept > 0:
-            overall = min(overall, m)
-    if math.isinf(overall):
-        overall = 0.0
+    margins, ranks, overall = _group_margins(
+        groups, lambda idx: A[np.ix_(idx, idx)][None], W, trace_rank_tol)
+    overall = float(overall[0])
+    group_margins = [GroupMargin(
+        eigenvalue=g.eigenvalue, multiplicity=g.multiplicity, margin=m,
+        trace_rank=kept, rank_deficient=kept < g.multiplicity)
+        for g, m, kept in zip(groups, margins[0].tolist(), ranks.tolist())]
 
     all_zero = bool(np.all(np.abs(sig) == 0.0))
     positive = overall > margin_tol
@@ -175,7 +199,31 @@ def assemble_gramian(basis: ModalBasis, sensors: list[Sensor], region: Subregion
         margin_tol=margin_tol,
         trace_rank_tol=trace_rank_tol,
         all_zero_signatures=all_zero,
-        rank_deficient=deficient)
+        rank_deficient=any(g.rank_deficient for g in group_margins))
+
+
+def pointwise_margins(basis: ModalBasis, groups: list[EigenGroup], sig: np.ndarray,
+                      region: Subregion, horizon: float = 1.0,
+                      signature_mode: str = "gradient",
+                      quad: QuadratureSpec | None = None,
+                      trace_rank_tol: float = DEFAULT_TRACE_RANK_TOL) -> np.ndarray:
+    """Gramian margin of each single pointwise sensor with signature rows ``sig``.
+
+    ``sig`` is (C, n_modes), one ``signature_mode`` signature per candidate
+    location.  The time correlations, the trace Gram and each group's
+    whitening are computed once for all candidates, and only group blocks
+    of the output Grams are built.  Row c equals assemble_gramian's margin
+    for the sensor alone.
+    """
+    _validate_gramian_inputs(basis, region, horizon, signature_mode)
+    tau = _correlation_matrix(basis.eigenvalues, horizon)
+    W = gradient_gram(basis, region, quad)
+
+    def block(idx):
+        s = sig[:, idx]
+        return tau[np.ix_(idx, idx)] * (s[:, :, None] * s[:, None, :])
+
+    return _group_margins(groups, block, W, trace_rank_tol)[2]
 
 
 def observability_constant(result: GramianResult,

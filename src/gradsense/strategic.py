@@ -132,26 +132,54 @@ class StrategicVerdict:
 
 
 def _rank_records(groups: list[EigenGroup], sig: np.ndarray,
-                  rank_rtol: float) -> tuple[list[GroupRecord], float]:
-    svals = [np.linalg.svd(sig[:, list(g.indices)], compute_uv=False)
-             if sig.size else np.zeros(0) for g in groups]
-    scale = max((float(s[0]) for s in svals if s.size), default=0.0)
-    threshold = rank_rtol * scale
-    records = []
-    for g, s in zip(groups, svals):
-        kept = s[s > threshold]
-        rank = int(kept.size)
-        records.append(GroupRecord(
-            eigenvalue=g.eigenvalue,
-            modes=g.modes,
-            multiplicity=g.multiplicity,
-            rank=rank,
-            passed=rank == g.multiplicity,
-            largest_singular_value=float(s[0]) if s.size else 0.0,
-            smallest_kept_singular_value=float(kept[-1]) if kept.size else 0.0,
-            marginal=bool(kept.size and kept[-1] <= 10.0 * threshold),
-        ))
-    return records, scale
+                  rank_rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Numerical rank of every group's signature block, for a batch of suites.
+
+    ``sig`` has shape (B, q, n_modes): B suites of q sensors each.  One
+    stacked SVD per group covers the whole batch.  Each suite's threshold
+    is rank_rtol times the largest singular value over its own groups, so
+    no suite's ranks depend on the rest of the batch.  Returns the ranks,
+    largest and smallest kept singular values, each (B, n_groups), and the
+    (B,) thresholds.
+    """
+    svals = [np.linalg.svd(sig[:, :, list(g.indices)], compute_uv=False) for g in groups]
+    # each group's singular values, descending, side by side from column starts[j]
+    starts = np.cumsum([0] + [s.shape[1] for s in svals[:-1]])
+    svals = np.concatenate(svals, axis=1)
+    largest = svals[:, starts]
+    threshold = rank_rtol * largest.max(axis=1)
+    rank = np.add.reduceat(svals > threshold[:, None], starts, axis=1, dtype=int)
+    smallest = np.take_along_axis(svals, starts + np.maximum(rank - 1, 0), axis=1)
+    return rank, largest, np.where(rank > 0, smallest, 0.0), threshold
+
+
+def rank_verdicts(groups: list[EigenGroup], sig: np.ndarray,
+                  rank_rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
+    """Rank-condition verdict of each suite in a (B, q, n_modes) signature batch.
+
+    A suite passes when q reaches the largest multiplicity and every
+    group's block has full column rank.
+    """
+    rank = _rank_records(groups, sig, rank_rtol)[0]
+    multiplicity = np.array([g.multiplicity for g in groups])
+    return np.all(rank == multiplicity, axis=1) & (sig.shape[1] >= multiplicity.max())
+
+
+def _group_records(groups: list[EigenGroup], sig: np.ndarray,
+                   rank_rtol: float) -> list[GroupRecord]:
+    """Per-group rank records of one suite with signature matrix (q, n_modes)."""
+    rank, largest, smallest, threshold = (a[0].tolist() for a in _rank_records(
+        groups, sig[None], rank_rtol))
+    return [GroupRecord(
+        eigenvalue=g.eigenvalue,
+        modes=g.modes,
+        multiplicity=g.multiplicity,
+        rank=r,
+        passed=r == g.multiplicity,
+        largest_singular_value=top,
+        smallest_kept_singular_value=low,
+        marginal=bool(r and low <= 10.0 * threshold),
+    ) for g, r, top, low in zip(groups, rank, largest, smallest)]
 
 
 def _verdict_side(records: list[GroupRecord], q: int, r: int) -> tuple[bool, str, GroupRecord | None]:
@@ -189,16 +217,11 @@ def rank_test(basis: ModalBasis, sensors: list[Sensor],
 
     grad_sig = signature_matrix(basis, sensors, "gradient", quad)
     state_sig = signature_matrix(basis, sensors, "state", quad)
-    grad_records, _ = _rank_records(groups, grad_sig, rank_rtol)
-    state_records, _ = _rank_records(groups, state_sig, rank_rtol)
+    grad_records = _group_records(groups, grad_sig, rank_rtol)
+    state_records = _group_records(groups, state_sig, rank_rtol)
     grad_ok, grad_reason, grad_fail = _verdict_side(grad_records, q, r)
     state_ok, state_reason, state_fail = _verdict_side(state_records, q, r)
-
-    per_sensor = []
-    for i in range(q):
-        recs, _ = _rank_records(groups, grad_sig[i:i + 1, :], rank_rtol)
-        ok, _, _ = _verdict_side(recs, 1, r)
-        per_sensor.append(ok)
+    per_sensor = [bool(v) for v in rank_verdicts(groups, grad_sig[:, None, :], rank_rtol)]
 
     return StrategicVerdict(
         sensor_count=q,

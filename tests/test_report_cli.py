@@ -11,9 +11,12 @@ import gradsense.cli
 from gradsense.cli import main
 from gradsense.commands import _nearest_blind_1d, location_scan, parse_scan_grid, run_command
 from gradsense.errors import ValidationError
+from gradsense.gramian import assemble_gramian
 from gradsense.report import Report, emit_report, format_float, report_to_json
-from gradsense.scenario import parse_scenario
+from gradsense.scenario import parse_number, parse_scenario
+from gradsense.sensors import PointwiseSensor
 from gradsense.spectral import Domain
+from gradsense.strategic import rank_test
 
 BASE = """
 domain.kind = interval
@@ -255,18 +258,100 @@ sensor.1.location = 0.3, 0.4
     def test_nearest_member_matches_enumeration(self, truncation, gradient, data):
         members = enumerated_blind_members(truncation, gradient)
         floats = [float(m) for m in members]
-        b = data.draw(st.one_of(
+        bs = data.draw(st.lists(st.one_of(
             st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
             st.sampled_from(floats or [0.5]),
-            st.sampled_from([0.5 * (x + y) for x, y in zip(floats, floats[1:])] or [0.5])))
-        nearest = _nearest_blind_1d(b, truncation, gradient)
+            st.sampled_from([0.5 * (x + y) for x, y in zip(floats, floats[1:])] or [0.5])),
+            min_size=1, max_size=6))
+        nearest = _nearest_blind_1d(np.array(bs), truncation, gradient)
         if not members:
             assert nearest is None
             return
         values = np.array(floats)
-        k = int(np.argmin(np.abs(values - b)))
-        assert nearest[0] == members[k]
-        assert repr(nearest[1]) == repr(abs(values[k] - b))
+        for b, p, q, dist in zip(bs, *nearest):
+            k = int(np.argmin(np.abs(values - b)))
+            assert Fraction(int(p), int(q)) == members[k]
+            assert repr(float(dist)) == repr(float(abs(values[k] - b)))
+
+    def test_nearest_distance_in_domain_units(self, tmp_path, capsys):
+        # on (0, 2) the candidate 0.9 is the unit point 0.45; the nearest
+        # blind members sit at 1/2 of the unit interval, the domain point 1.0
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(BASE.replace("domain.length = 1", "domain.length = 2")
+                       .replace("basis.truncation = 12", "basis.truncation = 4"),
+                       encoding="utf-8")
+        assert main(["scan", "--config", str(cfg), "--grid", "0.9, 1.0"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["resolution"] == pytest.approx(0.1)
+        row = next(r for r in results["rows"] if r["b1"] == 0.9)
+        for key in ("nearest_state_blind", "nearest_gradient_blind"):
+            assert row[key]["location"] == "1/2"
+            assert row[key]["distance"] == pytest.approx(0.1, rel=1e-12)
+
+    def test_nearest_members_beyond_resolution_in_domain_units_are_dropped(self):
+        # unit distance 0.03 is within the resolution 0.05, domain distance 0.06 is not
+        sc = parse_scenario(BASE.replace("domain.length = 1", "domain.length = 2")
+                            .replace("basis.truncation = 12", "basis.truncation = 2")
+                            .replace("0.2, 0.5", "0.4, 1.0"))
+        rows = location_scan(sc, "0.94, 0.99")
+        assert "nearest_gradient_blind" not in rows[0]
+        assert rows[1]["nearest_gradient_blind"]["location"] == Fraction(1, 2)
+        assert rows[1]["nearest_gradient_blind"]["distance"] == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("spec", ["100000x100000", "0.1:0.9:100000,0.1:0.9:100000"])
+    def test_huge_2d_grid_exits_at_once(self, tmp_path, capsys, spec):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(SQUARE, encoding="utf-8")
+        assert main(["scan", "--config", str(cfg), "--grid", spec]) == 1
+        assert "limit" in capsys.readouterr().err
+
+    def test_huge_1d_grid_rejected(self):
+        with pytest.raises(ValidationError, match="limit"):
+            location_scan(parse_scenario(BASE), "0.1:0.9:1000000000")
+        # the limit counts candidates times modes: 12 modes x 200000 candidates
+        with pytest.raises(ValidationError, match="limit"):
+            location_scan(parse_scenario(BASE), "0.1:0.9:200000")
+        interval = Domain.interval(1.0)
+        assert len(parse_scan_grid("0.1:0.9:200000", interval)) == 200000
+
+    def test_scan_call_count_does_not_grow_with_candidates(self, monkeypatch):
+        counts = {"svd": 0, "eigvalsh": 0}
+
+        def counting(name):
+            original = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        sc = parse_scenario(BASE)
+        seen = []
+        for spec in ("0.05:0.95:9", "0.005:0.995:90"):
+            counts.update(svd=0, eigvalsh=0)
+            assert len(location_scan(sc, spec)) == int(spec.rsplit(":", 1)[1])
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        assert seen[0]["svd"] > 0 and seen[0]["eigvalsh"] > 0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_rows_match_per_candidate_suites(self, data):
+        sc, points = data.draw(scan_scenarios())
+        spec = "".join(", ".join(p) + ";" for p in points) if sc.domain.dim == 2 \
+            else ", ".join(p[0] for p in points)
+        rows = location_scan(sc, spec)
+        for row, point in zip(rows, points):
+            sensor = PointwiseSensor(tuple(parse_number(c) for c in point))
+            verdict = rank_test(sc.basis, [sensor], sc.rank_rtol, sc.grouping_rtol, sc.quad)
+            gram = assemble_gramian(sc.basis, [sensor], sc.region, sc.horizon,
+                                    sc.signature_mode, sc.quad, sc.grouping_rtol,
+                                    sc.margin_tol)
+            assert row["state_strategic"] is verdict.state_strategic
+            assert row["gradient_strategic"] is verdict.gradient_strategic
+            assert row["margin"] == gram.margin
 
     def test_scan_needs_grid(self):
         with pytest.raises(ValidationError, match="grid"):
@@ -275,6 +360,44 @@ sensor.1.location = 0.3, 0.4
     def test_point_outside_domain(self):
         with pytest.raises(ValidationError, match="outside"):
             location_scan(parse_scenario(BASE), "0.5, 1.5")
+
+
+SQUARE = """
+domain.kind = rectangle
+domain.lengths = 1, 1
+region.bounds = 0.25, 0.75, 0.25, 0.75
+basis.truncation = 4
+sensor.1.kind = pointwise
+sensor.1.location = 0.3, 0.4
+"""
+
+
+@st.composite
+def scan_scenarios(draw):
+    """A random pointwise scan scenario and its candidates as coordinate strings."""
+    dim = draw(st.sampled_from([1, 2]))
+    lengths = [draw(st.sampled_from(["1", "2", "0.7", "3/2"])) for _ in range(dim)]
+    bounds, coords = [], []
+    for text in lengths:
+        length = float(parse_number(text))
+        lo = draw(st.floats(0.0, 0.6)) * length
+        bounds += [lo, lo + draw(st.floats(0.1, 0.4)) * length]
+        coords.append(st.one_of(
+            st.floats(0.001, 0.999).map(lambda u, L=length: repr(u * L)),
+            st.sampled_from(["1/3", "1/4", "1/2", "2/5"]).filter(
+                lambda c, L=length: float(parse_number(c)) < L)))
+    points = draw(st.lists(st.tuples(*coords), min_size=1, max_size=6))
+    lines = [
+        f"domain.kind = {'interval' if dim == 1 else 'rectangle'}",
+        f"domain.{'length' if dim == 1 else 'lengths'} = {', '.join(lengths)}",
+        f"region.bounds = {', '.join(repr(b) for b in bounds)}",
+        f"basis.truncation = {draw(st.integers(1, 12))}",
+        "sensor.1.kind = pointwise",
+        f"sensor.1.location = {', '.join(points[0])}",
+        f"horizon = {draw(st.sampled_from(['1', '0.2', '2.5', 'inf']))}",
+        f"signature_mode = {draw(st.sampled_from(['gradient', 'state']))}",
+    ]
+    return parse_scenario("\n".join(lines) + "\n"), points
 
 
 def enumerated_blind_members(truncation: int, gradient: bool) -> list[Fraction]:
