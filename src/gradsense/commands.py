@@ -29,8 +29,8 @@ from .reconstruct import (
 )
 from .report import Report
 from .scenario import Scenario, parse_number
-from .sensors import PointwiseSensor, simulate_output
-from .spectral import eigenfunction_gradients, eigenfunction_values
+from .sensors import PointwiseSensor, pointwise_signatures, simulate_output
+from .spectral import ModalBasis
 from .strategic import (
     basis_split,
     closed_form_condition,
@@ -333,15 +333,17 @@ def _reconstruct_results(sc: Scenario, seed: int) -> dict:
 MAX_SCAN_ENTRIES = 2_000_000
 
 
-def parse_scan_grid(spec: str, domain, n_modes: int = 1) -> list[tuple]:
+def parse_scan_grid(spec: str, basis: ModalBasis) -> list[tuple]:
     """Parse a candidate-location grid.
 
     1D: "a:b:n" (n points from a to b inclusive) or "v1,v2,...".
     2D: "NxM" (interior lattice of the domain), "a:b:n,a:b:n" (per-axis
     ranges, tensor product), or "x,y; x,y; ..." explicit points.
-    A grid whose candidate count times ``n_modes`` exceeds
-    MAX_SCAN_ENTRIES is rejected before any candidate is built.
+    The grid lies in the basis' domain.  A grid whose candidate count
+    times the basis' mode count exceeds MAX_SCAN_ENTRIES is rejected
+    before any candidate is built.
     """
+    domain, n_modes = basis.domain, basis.n_modes
     spec = spec.strip()
     if not spec:
         raise ValidationError("empty scan grid")
@@ -448,21 +450,18 @@ def location_scan(sc: Scenario, grid_spec: str | None = None) -> list[dict]:
     spec = grid_spec if grid_spec is not None else sc.scan_grid
     if spec is None:
         raise ValidationError('scan needs a grid: pass --grid or set "scan.grid"')
-    candidates = parse_scan_grid(spec, sc.domain, sc.basis.n_modes)
+    candidates = parse_scan_grid(spec, sc.basis)
     if not candidates:
         raise ValidationError("empty scan grid")
     points = np.array([[float(c) for c in point] for point in candidates])
-    inside = np.all((points > 0.0) & (points < np.array(sc.domain.lengths)), axis=1)
-    if not inside.all():
-        point = candidates[int(np.argmin(inside))]
-        raise ValidationError(f"scan grid point {point!r} is outside the domain")
+    grad_sig = pointwise_signatures(sc.basis, points, "gradient")
+    state_sig = pointwise_signatures(sc.basis, points, "state")
+    margin_sig = {"gradient": grad_sig, "state": state_sig}.get(sc.signature_mode)
+    if margin_sig is None:
+        raise ValidationError(f"unknown signature mode {sc.signature_mode!r}")
 
     groups = group_eigenvalues(sc.basis, sc.grouping_rtol)
-    grad_sig = eigenfunction_gradients(sc.basis, points).sum(axis=1).T
-    state_sig = eigenfunction_values(sc.basis, points).T
-    margins = pointwise_margins(
-        sc.basis, groups, grad_sig if sc.signature_mode == "gradient" else state_sig,
-        sc.region, sc.horizon, sc.signature_mode, sc.quad)
+    margins = pointwise_margins(sc.basis, groups, margin_sig, sc.region, sc.horizon, sc.quad)
     grad_ok = rank_verdicts(groups, grad_sig[:, None, :], sc.rank_rtol)
     state_ok = rank_verdicts(groups, state_sig[:, None, :], sc.rank_rtol)
     rows = [{

@@ -136,13 +136,10 @@ def _group_margins(groups: list[EigenGroup], block, W: np.ndarray,
     return margins, ranks, np.where(np.isinf(overall), 0.0, overall)
 
 
-def _validate_gramian_inputs(basis: ModalBasis, region: Subregion, horizon: float,
-                             signature_mode: str) -> None:
+def _validate_gramian_inputs(basis: ModalBasis, region: Subregion, horizon: float) -> None:
     if horizon <= 0 and not math.isinf(horizon):
         raise ValidationError(f"measurement horizon must be positive, got {horizon}")
     region.validate_in(basis.domain)
-    if signature_mode not in ("gradient", "state"):
-        raise ValidationError(f"unknown signature mode {signature_mode!r}")
 
 
 def assemble_gramian(basis: ModalBasis, sensors: list[Sensor], region: Subregion,
@@ -160,11 +157,13 @@ def assemble_gramian(basis: ModalBasis, sensors: list[Sensor], region: Subregion
     ``trace_gram`` may be passed to amortize quadrature across calls with
     identical basis and region.
     """
-    _validate_gramian_inputs(basis, region, horizon, signature_mode)
+    _validate_gramian_inputs(basis, region, horizon)
     if not sensors:
         raise ValidationError("empty sensor list")
     for s in sensors:
         validate_sensor(s, basis.domain)
+    if signature_mode not in ("gradient", "state"):
+        raise ValidationError(f"unknown signature mode {signature_mode!r}")
 
     sig = signature_matrix(basis, sensors, signature_mode, quad)
     tau = _correlation_matrix(basis.eigenvalues, horizon)
@@ -203,19 +202,17 @@ def assemble_gramian(basis: ModalBasis, sensors: list[Sensor], region: Subregion
 
 
 def pointwise_margins(basis: ModalBasis, groups: list[EigenGroup], sig: np.ndarray,
-                      region: Subregion, horizon: float = 1.0,
-                      signature_mode: str = "gradient",
-                      quad: QuadratureSpec | None = None,
-                      trace_rank_tol: float = DEFAULT_TRACE_RANK_TOL) -> np.ndarray:
+                      region: Subregion, horizon: float,
+                      quad: QuadratureSpec | None) -> np.ndarray:
     """Gramian margin of each single pointwise sensor with signature rows ``sig``.
 
-    ``sig`` is (C, n_modes), one ``signature_mode`` signature per candidate
-    location.  The time correlations, the trace Gram and each group's
-    whitening are computed once for all candidates, and only group blocks
-    of the output Grams are built.  Row c equals assemble_gramian's margin
-    for the sensor alone.
+    ``sig`` is (C, n_modes), the signature of one candidate location per
+    row, in whichever signature mode the caller chose.  The time
+    correlations, the trace Gram and each group's whitening are computed
+    once for all candidates, and only group blocks of the output Grams are
+    built.  Row c equals assemble_gramian's margin for the sensor alone.
     """
-    _validate_gramian_inputs(basis, region, horizon, signature_mode)
+    _validate_gramian_inputs(basis, region, horizon)
     tau = _correlation_matrix(basis.eigenvalues, horizon)
     W = gradient_gram(basis, region, quad)
 
@@ -223,7 +220,7 @@ def pointwise_margins(basis: ModalBasis, groups: list[EigenGroup], sig: np.ndarr
         s = sig[:, idx]
         return tau[np.ix_(idx, idx)] * (s[:, :, None] * s[:, None, :])
 
-    return _group_margins(groups, block, W, trace_rank_tol)[2]
+    return _group_margins(groups, block, W, DEFAULT_TRACE_RANK_TOL)[2]
 
 
 def observability_constant(result: GramianResult,

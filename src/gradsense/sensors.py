@@ -190,7 +190,7 @@ def state_signature(basis: ModalBasis, sensor: Sensor,
     """
     validate_sensor(sensor, basis.domain)
     if isinstance(sensor, PointwiseSensor):
-        return eigenfunction_values(basis, sensor.position[None, :])[:, 0].copy()
+        return _pointwise_rows(basis, sensor.position[None, :], "state")[0]
     if isinstance(sensor, ZonalSensor):
         pts, w = _zonal_grid(basis, sensor, quad)
         f = _zonal_weight_values(sensor, pts)
@@ -209,6 +209,8 @@ def gradient_signature(basis: ModalBasis, sensor: Sensor,
     """
     validate_sensor(sensor, basis.domain)
     if isinstance(sensor, PointwiseSensor):
+        if not componentwise:
+            return _pointwise_rows(basis, sensor.position[None, :], "gradient")[0]
         comps = eigenfunction_gradients(basis, sensor.position[None, :])[:, :, 0]
     elif isinstance(sensor, ZonalSensor):
         pts, w = _zonal_grid(basis, sensor, quad)
@@ -230,6 +232,31 @@ def signature_matrix(basis: ModalBasis, sensors: list[Sensor], kind: str,
     else:
         raise ValidationError(f"unknown signature kind {kind!r}")
     return np.vstack(rows) if rows else np.empty((0, basis.n_modes))
+
+
+def pointwise_signatures(basis: ModalBasis, points: np.ndarray, kind: str) -> np.ndarray:
+    """Signatures of pointwise sensors at the rows of ``points`` (C, dim).
+
+    Returns (C, n_modes); row c equals the ``kind`` signature of a
+    pointwise sensor at points[c], from one eigenfunction evaluation for
+    all rows.  Every point must lie in the open domain.
+    """
+    if kind not in ("state", "gradient"):
+        raise ValidationError(f"unknown signature kind {kind!r}")
+    if points.ndim != 2 or points.shape[1] != basis.dim:
+        raise ValidationError(
+            f"expected an array of {basis.dim}-dimensional points, got shape {points.shape}")
+    inside = basis.domain.contains_points(points, strict=True)
+    if not inside.all():
+        point = tuple(points[int(np.argmin(inside))].tolist())
+        raise ValidationError(f"pointwise sensor at {point} is outside the domain")
+    return _pointwise_rows(basis, points, kind)
+
+
+def _pointwise_rows(basis: ModalBasis, points: np.ndarray, kind: str) -> np.ndarray:
+    if kind == "state":
+        return eigenfunction_values(basis, points).T
+    return eigenfunction_gradients(basis, points).sum(axis=1).T
 
 
 @dataclass(frozen=True, eq=False)

@@ -60,13 +60,14 @@ class Domain:
         return len(self.lengths)
 
     def contains(self, point, strict: bool = False) -> bool:
-        p = point_array(point, self.dim)
-        for x, L in zip(p, self.lengths):
-            if strict and not (0.0 < x < L):
-                return False
-            if not strict and not (0.0 <= x <= L):
-                return False
-        return True
+        return bool(self.contains_points(point_array(point, self.dim)[None, :], strict)[0])
+
+    def contains_points(self, points: np.ndarray, strict: bool = False) -> np.ndarray:
+        """Row-wise ``contains`` for an (n, dim) array of points."""
+        lengths = np.asarray(self.lengths, dtype=float)
+        if strict:
+            return np.all((points > 0.0) & (points < lengths), axis=1)
+        return np.all((points >= 0.0) & (points <= lengths), axis=1)
 
 
 @dataclass(frozen=True)

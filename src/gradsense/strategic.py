@@ -153,24 +153,27 @@ def _rank_records(groups: list[EigenGroup], sig: np.ndarray,
     return rank, largest, np.where(rank > 0, smallest, 0.0), threshold
 
 
-def rank_verdicts(groups: list[EigenGroup], sig: np.ndarray,
-                  rank_rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
-    """Rank-condition verdict of each suite in a (B, q, n_modes) signature batch.
-
-    A suite passes when q reaches the largest multiplicity and every
-    group's block has full column rank.
-    """
-    rank = _rank_records(groups, sig, rank_rtol)[0]
+def _suite_passes(groups: list[EigenGroup], rank: np.ndarray, q: int) -> np.ndarray:
+    """A suite passes when q reaches the largest multiplicity and every
+    group's block has full column rank; ``rank`` is (B, n_groups)."""
     multiplicity = np.array([g.multiplicity for g in groups])
-    return np.all(rank == multiplicity, axis=1) & (sig.shape[1] >= multiplicity.max())
+    return np.all(rank == multiplicity, axis=1) & (q >= multiplicity.max())
+
+
+def rank_verdicts(groups: list[EigenGroup], sig: np.ndarray,
+                  rank_rtol: float) -> np.ndarray:
+    """Rank-condition verdict of each suite in a (B, q, n_modes) signature batch."""
+    return _suite_passes(groups, _rank_records(groups, sig, rank_rtol)[0], sig.shape[1])
 
 
 def _group_records(groups: list[EigenGroup], sig: np.ndarray,
-                   rank_rtol: float) -> list[GroupRecord]:
-    """Per-group rank records of one suite with signature matrix (q, n_modes)."""
-    rank, largest, smallest, threshold = (a[0].tolist() for a in _rank_records(
-        groups, sig[None], rank_rtol))
-    return [GroupRecord(
+                   rank_rtol: float) -> tuple[list[GroupRecord], bool]:
+    """Per-group rank records and the verdict of one suite with signature
+    matrix (q, n_modes)."""
+    rank, largest, smallest, threshold = _rank_records(groups, sig[None], rank_rtol)
+    passed = bool(_suite_passes(groups, rank, sig.shape[0])[0])
+    threshold = float(threshold[0])
+    records = [GroupRecord(
         eigenvalue=g.eigenvalue,
         modes=g.modes,
         multiplicity=g.multiplicity,
@@ -179,19 +182,21 @@ def _group_records(groups: list[EigenGroup], sig: np.ndarray,
         largest_singular_value=top,
         smallest_kept_singular_value=low,
         marginal=bool(r and low <= 10.0 * threshold),
-    ) for g, r, top, low in zip(groups, rank, largest, smallest)]
+    ) for g, r, top, low in zip(groups, rank[0].tolist(), largest[0].tolist(),
+                                smallest[0].tolist())]
+    return records, passed
 
 
-def _verdict_side(records: list[GroupRecord], q: int, r: int) -> tuple[bool, str, GroupRecord | None]:
+def _verdict_side(records: list[GroupRecord], passed: bool, q: int,
+                  r: int) -> tuple[str, GroupRecord | None]:
+    """Reason for a suite's verdict and its first failing group, if any."""
+    if passed:
+        return "all groups reach full rank", None
     if q < r:
-        return False, f"sensor count {q} is below the largest multiplicity {r}", None
-    for rec in records:
-        if not rec.passed:
-            return (False,
-                    f"group at eigenvalue {rec.eigenvalue:.6g} has rank "
-                    f"{rec.rank} < multiplicity {rec.multiplicity}",
-                    rec)
-    return True, "all groups reach full rank", None
+        return f"sensor count {q} is below the largest multiplicity {r}", None
+    rec = next(rec for rec in records if not rec.passed)
+    return (f"group at eigenvalue {rec.eigenvalue:.6g} has rank "
+            f"{rec.rank} < multiplicity {rec.multiplicity}", rec)
 
 
 def rank_test(basis: ModalBasis, sensors: list[Sensor],
@@ -217,10 +222,10 @@ def rank_test(basis: ModalBasis, sensors: list[Sensor],
 
     grad_sig = signature_matrix(basis, sensors, "gradient", quad)
     state_sig = signature_matrix(basis, sensors, "state", quad)
-    grad_records = _group_records(groups, grad_sig, rank_rtol)
-    state_records = _group_records(groups, state_sig, rank_rtol)
-    grad_ok, grad_reason, grad_fail = _verdict_side(grad_records, q, r)
-    state_ok, state_reason, state_fail = _verdict_side(state_records, q, r)
+    grad_records, grad_ok = _group_records(groups, grad_sig, rank_rtol)
+    state_records, state_ok = _group_records(groups, state_sig, rank_rtol)
+    grad_reason, grad_fail = _verdict_side(grad_records, grad_ok, q, r)
+    state_reason, state_fail = _verdict_side(state_records, state_ok, q, r)
     per_sensor = [bool(v) for v in rank_verdicts(groups, grad_sig[:, None, :], rank_rtol)]
 
     return StrategicVerdict(

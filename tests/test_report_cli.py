@@ -15,7 +15,7 @@ from gradsense.gramian import assemble_gramian
 from gradsense.report import Report, emit_report, format_float, report_to_json
 from gradsense.scenario import parse_number, parse_scenario
 from gradsense.sensors import PointwiseSensor
-from gradsense.spectral import Domain
+from gradsense.spectral import Domain, build_basis
 from gradsense.strategic import rank_test
 
 BASE = """
@@ -185,8 +185,8 @@ sensor.1.location = 0.5, 0.5
 
 class TestScan:
     def test_grid_parsing(self):
-        interval = Domain.interval(1.0)
-        square = Domain.rectangle(1.0, 1.0)
+        interval = build_basis(Domain.interval(1.0), 1)
+        square = build_basis(Domain.rectangle(1.0, 1.0), 1)
         assert parse_scan_grid("0.1:0.9:9", interval)[0] == (0.1,)
         assert len(parse_scan_grid("0.1:0.9:9", interval)) == 9
         assert parse_scan_grid("1/4, 0.6", interval) == [(Fraction(1, 4),), (0.6,)]
@@ -311,7 +311,7 @@ sensor.1.location = 0.3, 0.4
         # the limit counts candidates times modes: 12 modes x 200000 candidates
         with pytest.raises(ValidationError, match="limit"):
             location_scan(parse_scenario(BASE), "0.1:0.9:200000")
-        interval = Domain.interval(1.0)
+        interval = build_basis(Domain.interval(1.0), 1)
         assert len(parse_scan_grid("0.1:0.9:200000", interval)) == 200000
 
     def test_scan_call_count_does_not_grow_with_candidates(self, monkeypatch):
@@ -358,8 +358,10 @@ sensor.1.location = 0.3, 0.4
             run_command(parse_scenario(BASE), "scan")
 
     def test_point_outside_domain(self):
-        with pytest.raises(ValidationError, match="outside"):
-            location_scan(parse_scenario(BASE), "0.5, 1.5")
+        # the domain is open: its end points are outside too
+        for grid in ("0.5, 1.5", "0.5, 1.0", "0:0.5:3"):
+            with pytest.raises(ValidationError, match="outside"):
+                location_scan(parse_scenario(BASE), grid)
 
 
 SQUARE = """

@@ -11,6 +11,7 @@ from gradsense.sensors import (
     PointwiseSensor,
     ZonalSensor,
     gradient_signature,
+    pointwise_signatures,
     signature_matrix,
     simulate_output,
     state_signature,
@@ -169,6 +170,28 @@ class TestSignatureMatrix:
     def test_unknown_kind(self, basis):
         with pytest.raises(ValidationError):
             signature_matrix(basis, [PointwiseSensor((0.5,))], "mystery")
+
+
+class TestPointwiseSignatures:
+    @pytest.mark.parametrize("kind", ["state", "gradient"])
+    def test_rows_equal_per_sensor_signatures(self, basis, square_basis, kind):
+        for b, points in ((basis, [[0.1], [1 / 3], [0.5], [0.97]]),
+                          (square_basis, [[0.2, 0.7], [0.5, 0.5], [0.9, 0.05]])):
+            rows = pointwise_signatures(b, np.array(points), kind)
+            sensors = [PointwiseSensor(tuple(p)) for p in points]
+            np.testing.assert_array_equal(rows, signature_matrix(b, sensors, kind))
+
+    def test_points_outside_the_open_domain_rejected(self, basis, square_basis):
+        with pytest.raises(ValidationError, match="outside the domain"):
+            pointwise_signatures(basis, np.array([[0.5], [1.0]]), "state")
+        with pytest.raises(ValidationError, match="outside the domain"):
+            pointwise_signatures(square_basis, np.array([[0.5, 0.0]]), "gradient")
+        with pytest.raises(ValidationError, match="2-dimensional"):
+            pointwise_signatures(square_basis, np.array([[0.5]]), "gradient")
+
+    def test_unknown_kind(self, basis):
+        with pytest.raises(ValidationError, match="unknown signature kind"):
+            pointwise_signatures(basis, np.array([[0.5]]), "mystery")
 
 
 class TestSimulateOutput:
