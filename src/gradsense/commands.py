@@ -29,7 +29,7 @@ from .reconstruct import (
 )
 from .report import Report
 from .scenario import Scenario, parse_number
-from .sensors import PointwiseSensor, pointwise_signatures, simulate_output
+from .sensors import MeasurementSeries, PointwiseSensor, pointwise_signatures, simulate_output
 from .spectral import ModalBasis
 from .strategic import (
     basis_split,
@@ -272,17 +272,21 @@ def _gramian_results(sc: Scenario) -> dict:
     }
 
 
-def _require_initial(sc: Scenario) -> np.ndarray:
+def _simulate(sc: Scenario, seed: int) -> tuple[np.ndarray, MeasurementSeries]:
+    """The initial coefficients and the series they produce at the sample times."""
     if sc.initial_coeffs is None:
         raise ValidationError(
             'this command needs "initial.coefficients" in the scenario')
-    return sc.initial_coeffs
+    if sc.times.size == 0:
+        raise ValidationError(
+            'this command needs "time.grid" in the scenario when the horizon is infinite')
+    series = simulate_output(sc.basis, sc.initial_coeffs, list(sc.sensors), sc.times,
+                             sc.horizon, sc.noise_std, seed, sc.quad)
+    return sc.initial_coeffs, series
 
 
 def _simulate_results(sc: Scenario, seed: int) -> dict:
-    coeffs = _require_initial(sc)
-    series = simulate_output(sc.basis, coeffs, list(sc.sensors), sc.times,
-                             sc.horizon, sc.noise_std, seed, sc.quad)
+    _, series = _simulate(sc, seed)
     return {
         "noise_stddev": sc.noise_std,
         "noise_seed": seed,
@@ -292,9 +296,7 @@ def _simulate_results(sc: Scenario, seed: int) -> dict:
 
 
 def _reconstruct_results(sc: Scenario, seed: int) -> dict:
-    coeffs = _require_initial(sc)
-    series = simulate_output(sc.basis, coeffs, list(sc.sensors), sc.times,
-                             sc.horizon, sc.noise_std, seed, sc.quad)
+    coeffs, series = _simulate(sc, seed)
     estimate = estimate_coefficients(series, sc.basis, list(sc.sensors),
                                      sc.signature_mode, sc.regularization,
                                      sc.reg_value, sc.identifiability_tol, sc.quad)
@@ -302,7 +304,8 @@ def _reconstruct_results(sc: Scenario, seed: int) -> dict:
                                   sc.region, sc.quad)
     field = gradient_field_on_region(sc.basis, estimate.coefficients, sc.region,
                                      grid=9, quad=sc.quad)
-    identifiable = [m not in estimate.unidentifiable_modes for m in sc.basis.modes]
+    flagged = set(estimate.unidentifiable_modes)
+    identifiable = [m not in flagged for m in sc.basis.modes]
     denom = float(np.linalg.norm(coeffs))
     rel = float(np.linalg.norm(estimate.coefficients - coeffs)) / denom if denom else 0.0
     return {
@@ -516,10 +519,11 @@ def _split_results(sc: Scenario) -> dict:
     split = basis_split(sc.basis, list(sc.sensors), "gradient", sc.blind_tol, sc.quad)
     independence = residual_independence_check(split.kernel_modes, sc.basis,
                                                sc.region, sc.quad)
+    kernel = set(split.kernel_modes)
     return {
         "signature_kind": split.signature_kind,
         "modes": [_mode_json(m) for m in sc.basis.modes],
-        "in_kernel": [m in split.kernel_modes for m in sc.basis.modes],
+        "in_kernel": [m in kernel for m in sc.basis.modes],
         "mode_strengths": list(split.mode_strengths),
         "kernel_modes": [_mode_json(m) for m in split.kernel_modes],
         "active_modes": [_mode_json(m) for m in split.active_modes],

@@ -4,8 +4,10 @@ Modal least squares on the truncated basis: the design matrix pairs each
 (sensor, sample time) with exp(lambda_m t) times the chosen signature of
 mode m.  Columns whose norm falls below the identifiability threshold are
 dropped and their coefficients pinned to zero, so blind modes degrade the
-answer instead of failing it.  Tikhonov and discrepancy-principle
-regularization stabilize noisy or ill-conditioned solves.
+answer instead of failing it.  One thin SVD of the equilibrated design
+drives every solve: Tikhonov is the filter s / (s^2 + lam) on its singular
+values, and the discrepancy principle is a scalar search for lam on the
+closed-form filtered residual.
 """
 
 from __future__ import annotations
@@ -16,15 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .quadrature import QuadratureSpec, interval_rule
+from .quadrature import QuadratureSpec
 from .sensors import MeasurementSeries, Sensor, signature_matrix, validate_sensor
 from .spectral import (
     GradientField,
     Mode,
     ModalBasis,
     Subregion,
+    box_rule,
+    coefficient_vector,
     eigenfunction_gradients,
     gradient_gram,
+    tensor_points,
 )
 
 DEFAULT_IDENTIFIABILITY_TOL = 1e-8
@@ -53,19 +58,6 @@ class ReconstructionResult:
     signature_mode: str
 
 
-def _solve_regularized(design: np.ndarray, rhs: np.ndarray, kind: str,
-                       value: float) -> np.ndarray:
-    """Solve min |design z - rhs|^2 (+ value |z|^2) on equilibrated columns."""
-    if kind == "none" or value == 0.0:
-        sol, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-        return sol
-    n = design.shape[1]
-    stacked = np.vstack([design, math.sqrt(value) * np.eye(n)])
-    padded = np.concatenate([rhs, np.zeros(n)])
-    sol, *_ = np.linalg.lstsq(stacked, padded, rcond=None)
-    return sol
-
-
 def estimate_coefficients(measurements: MeasurementSeries, basis: ModalBasis,
                           sensors: list[Sensor], signature_mode: str = "state",
                           regularization: str = "tikhonov", reg_value: float = 1e-10,
@@ -86,8 +78,8 @@ def estimate_coefficients(measurements: MeasurementSeries, basis: ModalBasis,
             f"unknown regularization {regularization!r}; choose from {REGULARIZATIONS}")
     if not sensors:
         raise ValidationError("empty sensor list")
-    for s in sensors:
-        validate_sensor(s, basis.domain)
+    for sensor in sensors:
+        validate_sensor(sensor, basis.domain)
     if measurements.n_sensors != len(sensors):
         raise ValidationError(
             f"measurement series has {measurements.n_sensors} rows "
@@ -104,17 +96,19 @@ def estimate_coefficients(measurements: MeasurementSeries, basis: ModalBasis,
             "all design-matrix columns are degenerate; no mode is identifiable")
 
     # column equilibration keeps the solve accurate despite the decay spread
-    sub = Phi[:, identifiable]
     scale = norms[identifiable]
-    equilibrated = sub / scale
+    equilibrated = Phi[:, identifiable] / scale
 
-    svals = np.linalg.svd(equilibrated, compute_uv=False)
-    condition = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
-
+    # one thin SVD gives the condition number and every solve
+    U, s, Vt = np.linalg.svd(equilibrated, full_matrices=False)
+    condition = float(s[0] / s[-1]) if s[-1] > 0 else math.inf
+    cut = np.finfo(float).eps * max(equilibrated.shape) * s[0]
+    c = U.T @ y
     if regularization == "discrepancy":
-        z = _solve_discrepancy(equilibrated, y, reg_value)
+        penalty = _discrepancy_penalty(y, U, s, cut, c, reg_value)
     else:
-        z = _solve_regularized(equilibrated, y, regularization, reg_value)
+        penalty = reg_value if regularization == "tikhonov" else 0.0
+    z = Vt.T @ (_filter_factors(s, cut, penalty) * c)
 
     coeffs = np.zeros(basis.n_modes)
     coeffs[identifiable] = z / scale
@@ -131,24 +125,42 @@ def estimate_coefficients(measurements: MeasurementSeries, basis: ModalBasis,
         signature_mode=signature_mode)
 
 
-def _solve_discrepancy(design: np.ndarray, rhs: np.ndarray,
-                       noise_level: float) -> np.ndarray:
-    """Morozov principle: grow the penalty until the residual hits the noise."""
+def _filter_factors(s: np.ndarray, cut: float, lam: float) -> np.ndarray:
+    """Tikhonov filter s / (s^2 + lam) on the singular values s.
+
+    At lam = 0 it is the pseudo-inverse 1 / s with the cut lstsq(rcond=None)
+    makes: singular values at or below ``cut`` count as zero.  A positive
+    lam already damps small s to about s / lam, so nothing is cut.
+    """
+    return np.divide(s, s * s + lam, out=np.zeros_like(s), where=s > (cut if lam == 0 else 0))
+
+
+def _discrepancy_penalty(y: np.ndarray, U: np.ndarray, s: np.ndarray, cut: float,
+                         c: np.ndarray, noise_level: float) -> float:
+    """Morozov principle: grow the penalty until the residual hits the noise.
+
+    The residual is closed form: component i of c = U^T y keeps 1 - s_i f_i
+    of itself, and the part of y outside the range of U is always left.
+    """
     if noise_level < 0:
         raise ValidationError(f"noise level must be nonnegative, got {noise_level}")
-    target = noise_level * math.sqrt(rhs.size)
-    z = _solve_regularized(design, rhs, "none", 0.0)
-    if float(np.linalg.norm(design @ z - rhs)) >= target or target == 0.0:
-        return z
+    target = noise_level * math.sqrt(y.size)
+    outside = float(np.sum((y - U @ c) ** 2))
+
+    def residual(lam: float) -> float:
+        kept = (1.0 - s * _filter_factors(s, cut, lam)) * c
+        return math.sqrt(outside + float(np.sum(kept ** 2)))
+
+    if target == 0.0 or residual(0.0) >= target:
+        return 0.0
     lo, hi = -16.0, 6.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        z = _solve_regularized(design, rhs, "tikhonov", 10.0 ** mid)
-        if float(np.linalg.norm(design @ z - rhs)) < target:
+        if residual(10.0 ** mid) < target:
             lo = mid
         else:
             hi = mid
-    return _solve_regularized(design, rhs, "tikhonov", 10.0 ** lo)
+    return 10.0 ** lo
 
 
 def gradient_field_on_region(basis: ModalBasis, coeffs: np.ndarray, region: Subregion,
@@ -162,36 +174,17 @@ def gradient_field_on_region(basis: ModalBasis, coeffs: np.ndarray, region: Subr
     of points is used as given.  Points outside the region are rejected.
     """
     region.validate_in(basis.domain)
-    a = np.asarray(coeffs, dtype=float)
-    if a.shape != (basis.n_modes,):
-        raise ValidationError(
-            f"coefficient vector has length {a.shape}, basis has {basis.n_modes} modes")
+    a = coefficient_vector(basis, coeffs)
     weights = None
     if isinstance(grid, str):
         if grid != "quadrature":
             raise ValidationError(f"unknown grid spec {grid!r}")
-        axes = []
-        for axis, (lo, hi) in enumerate(region.float_bounds):
-            _, span = basis.axis_interval(axis)
-            cycles = basis.truncation * (hi - lo) / span
-            axes.append(interval_rule(lo, hi, cycles, quad))
-        if basis.dim == 1:
-            points = axes[0][0][:, None]
-            weights = axes[0][1]
-        else:
-            (x1, w1), (x2, w2) = axes
-            points = np.column_stack([np.repeat(x1, len(x2)), np.tile(x2, len(x1))])
-            weights = np.outer(w1, w2).ravel()
+        points, weights = box_rule(basis, region.float_bounds, quad)
     elif isinstance(grid, int):
         if grid < 1:
             raise ValidationError(f"grid point count must be >= 1, got {grid}")
-        axes_pts = [np.linspace(lo, hi, grid + 2)[1:-1]
-                    for lo, hi in region.float_bounds]
-        if basis.dim == 1:
-            points = axes_pts[0][:, None]
-        else:
-            points = np.column_stack([np.repeat(axes_pts[0], grid),
-                                      np.tile(axes_pts[1], grid)])
+        points = tensor_points([np.linspace(lo, hi, grid + 2)[1:-1]
+                                for lo, hi in region.float_bounds])
     else:
         points = np.atleast_2d(np.asarray(grid, dtype=float))
         if points.shape[1] != basis.dim:
@@ -222,14 +215,8 @@ def reconstruction_error(true_coeffs: np.ndarray, est_coeffs: np.ndarray,
                          basis: ModalBasis, region: Subregion,
                          quad: QuadratureSpec | None = None) -> ErrorRecord:
     """L2 gradient error of the estimate, restricted and unrestricted."""
-    a = np.asarray(true_coeffs, dtype=float)
-    b = np.asarray(est_coeffs, dtype=float)
-    if a.shape != b.shape or a.shape != (basis.n_modes,):
-        raise ValidationError(
-            "coefficient vectors must both match the basis truncation; got "
-            f"{a.shape} and {b.shape} for {basis.n_modes} modes")
+    e = coefficient_vector(basis, true_coeffs) - coefficient_vector(basis, est_coeffs)
     region.validate_in(basis.domain)
-    e = a - b
     W_region = gradient_gram(basis, region, quad)
     W_domain = gradient_gram(basis, None, quad)
     err_region = math.sqrt(max(0.0, float(e @ W_region @ e)))

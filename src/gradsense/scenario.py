@@ -229,6 +229,9 @@ def _build_times(reader: _Reader, horizon: float) -> np.ndarray:
     else:
         samples = _scalar(reader, "time.samples", 64, kind="int", minimum=1)
         spacing = _choice(reader, "time.spacing", ("uniform", "geometric"), "uniform")
+        if horizon == np.inf:
+            # no finite grid spans it; simulate and reconstruct ask for time.grid
+            return np.empty(0)
         if spacing == "uniform":
             times = horizon * np.arange(1, samples + 1) / samples
         elif samples == 1:
@@ -237,7 +240,7 @@ def _build_times(reader: _Reader, horizon: float) -> np.ndarray:
             # geometric spacing clusters samples early, where the fast modes live
             ratio = (1.0 / samples ** 2) ** (1.0 / (samples - 1))
             times = horizon * ratio ** np.arange(samples - 1, -1, -1)
-    if np.any(np.diff(times) <= 0) or times[0] < 0 or times[-1] > horizon * (1 + 1e-12):
+    if not np.all(np.diff(times) > 0) or times[0] < 0 or times[-1] > horizon * (1 + 1e-12):
         raise ScenarioError(
             'key "time.grid" must be strictly increasing within [0, horizon]')
     return times

@@ -21,6 +21,8 @@ from .spectral import (
     Domain,
     ModalBasis,
     _as_float,
+    box_rule,
+    coefficient_vector,
     eigenfunction_gradients,
     eigenfunction_values,
 )
@@ -131,22 +133,6 @@ def validate_sensor(sensor: Sensor, domain: Domain) -> Sensor:
     raise ValidationError(f"unknown sensor type {type(sensor).__name__}")
 
 
-def _zonal_grid(basis: ModalBasis, sensor: ZonalSensor,
-                quad: QuadratureSpec | None) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor quadrature grid over the sensor box: points (n, dim), weights (n,)."""
-    axes = []
-    for axis, (lo, hi) in enumerate(sensor.box):
-        _, span = basis.axis_interval(axis)
-        cycles = basis.truncation * (hi - lo) / span
-        axes.append(interval_rule(lo, hi, cycles, quad))
-    if basis.dim == 1:
-        x, w = axes[0]
-        return x[:, None], w
-    (x1, w1), (x2, w2) = axes
-    pts = np.column_stack([np.repeat(x1, len(x2)), np.tile(x2, len(x1))])
-    return pts, np.outer(w1, w2).ravel()
-
-
 def _zonal_weight_values(sensor: ZonalSensor, pts: np.ndarray) -> np.ndarray:
     if sensor.weight == "uniform":
         return np.ones(len(pts))
@@ -192,7 +178,7 @@ def state_signature(basis: ModalBasis, sensor: Sensor,
     if isinstance(sensor, PointwiseSensor):
         return _pointwise_rows(basis, sensor.position[None, :], "state")[0]
     if isinstance(sensor, ZonalSensor):
-        pts, w = _zonal_grid(basis, sensor, quad)
+        pts, w = box_rule(basis, sensor.box, quad)
         f = _zonal_weight_values(sensor, pts)
         return eigenfunction_values(basis, pts) @ (f * w)
     pts, w = _filament_nodes(basis, sensor, quad)
@@ -213,7 +199,7 @@ def gradient_signature(basis: ModalBasis, sensor: Sensor,
             return _pointwise_rows(basis, sensor.position[None, :], "gradient")[0]
         comps = eigenfunction_gradients(basis, sensor.position[None, :])[:, :, 0]
     elif isinstance(sensor, ZonalSensor):
-        pts, w = _zonal_grid(basis, sensor, quad)
+        pts, w = box_rule(basis, sensor.box, quad)
         f = _zonal_weight_values(sensor, pts)
         comps = eigenfunction_gradients(basis, pts) @ (f * w)
     else:
@@ -271,7 +257,7 @@ class MeasurementSeries:
         t = np.asarray(self.times, dtype=float)
         if t.size == 0:
             raise ValidationError("measurement series has an empty time grid")
-        if np.any(np.diff(t) <= 0):
+        if not np.all(np.diff(t) > 0):
             raise ValidationError("time grid must be strictly increasing")
         if t[0] < 0 or t[-1] > self.horizon + 1e-12:
             raise ValidationError(
@@ -300,10 +286,7 @@ def simulate_output(basis: ModalBasis, coeffs: np.ndarray, sensors: list[Sensor]
         raise ValidationError("empty time grid")
     if not sensors:
         raise ValidationError("empty sensor list")
-    a = np.asarray(coeffs, dtype=float)
-    if a.shape != (basis.n_modes,):
-        raise ValidationError(
-            f"coefficient vector has length {a.shape}, basis has {basis.n_modes} modes")
+    a = coefficient_vector(basis, coeffs)
     T = float(horizon) if horizon is not None else float(t.max())
     sig = signature_matrix(basis, sensors, "state", quad)
     decay = np.exp(np.outer(basis.eigenvalues, t))       # (n_modes, M)

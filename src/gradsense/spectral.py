@@ -8,6 +8,7 @@ over subregions.  Everything here is a pure function of immutable inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -175,11 +176,15 @@ class ModalBasis:
             return np.asarray(self.modes, dtype=int)
         return np.asarray([m[axis] for m in self.modes], dtype=int)
 
+    @functools.cached_property
+    def _positions(self) -> dict[Mode, int]:
+        return {m: k for k, m in enumerate(self.modes)}
+
     def index_of(self, mode: Mode) -> int:
         key = tuple(mode) if self.dim == 2 and not isinstance(mode, int) else mode
         try:
-            return self.modes.index(key)
-        except ValueError:
+            return self._positions[key]
+        except (KeyError, TypeError):
             raise ValidationError(f"unknown mode {mode!r} for this basis") from None
 
 
@@ -257,6 +262,29 @@ def eigenfunction_gradients(basis: ModalBasis, points: np.ndarray) -> np.ndarray
     return np.stack([dx * sy, sx * dy], axis=1)
 
 
+def coefficient_vector(basis: ModalBasis, coeffs) -> np.ndarray:
+    """``coeffs`` as a float array, checked to hold one entry per basis mode."""
+    a = np.asarray(coeffs, dtype=float)
+    if a.shape != (basis.n_modes,):
+        raise ValidationError(
+            f"coefficient vector has length {a.shape}, basis has {basis.n_modes} modes")
+    return a
+
+
+def tensor_points(axes: list[np.ndarray]) -> np.ndarray:
+    """Cartesian product of per-axis nodes as (n, dim) points, last axis fastest."""
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
+def box_rule(basis: ModalBasis, bounds, quad: QuadratureSpec | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Legendre rule over a box, panels sized per side for the basis."""
+    rules = [interval_rule(lo, hi, basis.truncation * (hi - lo) / basis.axis_interval(axis)[1],
+                           quad) for axis, (lo, hi) in enumerate(bounds)]
+    weights = tensor_points([w for _, w in rules]).prod(axis=1)
+    return tensor_points([x for x, _ in rules]), weights
+
+
 def eval_eigenfunction(basis: ModalBasis, mode: Mode, point) -> float:
     """Analytic value of one eigenfunction at a point of the closed domain."""
     p = point_array(point, basis.dim)
@@ -279,11 +307,7 @@ def propagate(basis: ModalBasis, coeffs: np.ndarray, t: float) -> np.ndarray:
     """Diffusion semigroup in modal coordinates: a_m -> exp(lambda_m t) a_m."""
     if t < 0:
         raise ValidationError(f"propagation time must be nonnegative, got {t}")
-    a = np.asarray(coeffs, dtype=float)
-    if a.shape != (basis.n_modes,):
-        raise ValidationError(
-            f"coefficient vector has length {a.shape}, basis has {basis.n_modes} modes")
-    return a * np.exp(basis.eigenvalues * t)
+    return coefficient_vector(basis, coeffs) * np.exp(basis.eigenvalues * t)
 
 
 def _axis_region(basis: ModalBasis, region: Subregion | None, axis: int
@@ -368,9 +392,6 @@ def norm_on_region(basis: ModalBasis, field, region: Subregion | None = None,
             raise ValidationError("GradientField has no quadrature weights to integrate with")
         return float(math.sqrt(max(0.0, float(
             np.sum(field.weights * np.sum(field.values ** 2, axis=1))))))
-    a = np.asarray(field, dtype=float)
-    if a.shape != (basis.n_modes,):
-        raise ValidationError(
-            f"coefficient vector has length {a.shape}, basis has {basis.n_modes} modes")
+    a = coefficient_vector(basis, field)
     W = gradient_gram(basis, region, quad)
     return float(math.sqrt(max(0.0, float(a @ W @ a))))

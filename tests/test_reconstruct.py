@@ -1,11 +1,15 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradsense.errors import ValidationError
 from gradsense.reconstruct import (
+    REGULARIZATIONS,
     design_matrix,
     estimate_coefficients,
     gradient_field_on_region,
@@ -137,6 +141,63 @@ class TestEstimateCoefficients:
         series = MeasurementSeries(times=times, values=np.zeros((2, 4)), horizon=1.0)
         with pytest.raises(ValidationError):
             estimate_coefficients(series, basis8, [PointwiseSensor((0.3,))], "state")
+
+
+def stacked_lstsq_reference(design: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """The regularized solve as an lstsq on the design with sqrt(lam) I stacked under it."""
+    norms = np.linalg.norm(design, axis=0)
+    equilibrated = design / norms
+    if lam == 0.0:
+        z, *_ = np.linalg.lstsq(equilibrated, y, rcond=None)
+    else:
+        n = design.shape[1]
+        stacked = np.vstack([equilibrated, math.sqrt(lam) * np.eye(n)])
+        z, *_ = np.linalg.lstsq(stacked, np.concatenate([y, np.zeros(n)]), rcond=None)
+    return z / norms
+
+
+class TestSingularValueSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), extra=st.integers(0, 30),
+           regularization=st.sampled_from(["none", "tikhonov"]),
+           lam=st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 1e-1, 10.0]))
+    def test_filter_matches_stacked_lstsq(self, seed, n, extra, regularization, lam):
+        # a random full-rank design with singular values in [0.5, 5] and
+        # column scales over six decades, which equilibration has to undo
+        rng = np.random.default_rng(seed)
+        m = n + extra
+        q1, _ = np.linalg.qr(rng.normal(size=(m, n)))
+        q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        design = (q1 * rng.uniform(0.5, 5.0, size=n)) @ q2.T
+        design *= 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+        y = rng.normal(size=m)
+        basis = build_basis(Domain.interval(1.0), n)
+        series = MeasurementSeries(times=np.linspace(0.1, 1.0, m), values=y[None, :],
+                                   horizon=1.0)
+        with mock.patch("gradsense.reconstruct.design_matrix", return_value=design):
+            est = estimate_coefficients(series, basis, [PointwiseSensor((0.3,))], "state",
+                                        regularization, lam)
+        expected = stacked_lstsq_reference(design, y, lam if regularization == "tikhonov"
+                                           else 0.0)
+        err = np.linalg.norm(est.coefficients - expected) / np.linalg.norm(expected)
+        assert err <= 1e-9
+
+    @pytest.mark.parametrize("regularization", REGULARIZATIONS)
+    def test_one_svd_and_no_lstsq_per_estimate(self, basis8, regularization):
+        sensors = [PointwiseSensor((0.3,)), PointwiseSensor((0.71,))]
+        times = geometric_times(64)
+        noise = 1e-4
+        series = simulate_output(basis8, np.random.default_rng(3).normal(size=8), sensors,
+                                 times, 1.0, noise_std=noise, seed=5)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
+                mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+            est = estimate_coefficients(series, basis8, sensors, "state", regularization,
+                                        noise if regularization == "discrepancy" else 1e-8)
+        assert svd.call_count == 1
+        assert lstsq.call_count == 0
+        if regularization == "discrepancy":
+            # the bisection ran: the residual sits at the noise target
+            assert est.residual_norm == pytest.approx(noise * math.sqrt(128), rel=1e-6)
 
 
 class TestGradientField:

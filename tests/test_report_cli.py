@@ -547,6 +547,29 @@ class TestCli:
         assert len(payload["results"]["rows"]) == 2
         assert payload["results"]["grid"] == "0.3:0.4:2"
 
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+    def test_infinite_horizon_needs_time_grid(self, tmp_path, capsys, command):
+        text = SIMULATE.replace("horizon = 1", "horizon = inf") + "time.samples = 3\n"
+        code = main([command, "--config", self.write(tmp_path, text)])
+        assert code == 1
+        assert '"time.grid"' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+    def test_infinite_horizon_with_time_grid_runs(self, tmp_path, capsys, command):
+        text = (SIMULATE.replace("horizon = 1", "horizon = inf")
+                + "time.grid = 0.01, 0.05, 0.2, 0.5\n")
+        assert main([command, "--config", self.write(tmp_path, text)]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        if command == "simulate":
+            assert results["times"] == [0.01, 0.05, 0.2, 0.5]
+
+    @pytest.mark.parametrize("command", ["scan", "gramian"])
+    def test_infinite_horizon_scan_and_gramian_run(self, tmp_path, capsys, command):
+        text = (BASE.replace("horizon = 1", "horizon = inf")
+                + "time.samples = 3\nscan.grid = 0.2:0.8:4\n")
+        assert main([command, "--config", self.write(tmp_path, text)]) == 0
+        json.loads(capsys.readouterr().out)
+
 
 class TestCheckVariants:
     def test_zonal_1d_has_no_blind_set_block(self):

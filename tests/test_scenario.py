@@ -105,6 +105,20 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="increasing"):
             parse_scenario(text)
 
+    def test_infinite_horizon_builds_no_sample_times(self):
+        text = MINIMAL.replace("horizon = 1", "horizon = inf")
+        sc = parse_scenario(text + "time.samples = 3\ntime.spacing = geometric\n")
+        assert sc.horizon == np.inf
+        assert sc.times.size == 0
+        with pytest.raises(ScenarioError, match="time.samples"):
+            parse_scenario(text + "time.samples = 0\n")
+        with pytest.raises(ScenarioError, match="time.spacing"):
+            parse_scenario(text + "time.spacing = random\n")
+
+    def test_infinite_horizon_keeps_explicit_time_grid(self):
+        text = MINIMAL.replace("horizon = 1", "horizon = inf") + "time.grid = 0.5, 2, 40\n"
+        np.testing.assert_allclose(parse_scenario(text).times, [0.5, 2.0, 40.0])
+
     def test_initial_coefficients_padding(self):
         text = MINIMAL + "initial.coefficients = 1, 0.5\n"
         sc = parse_scenario(text)
