@@ -26,6 +26,7 @@ from .sensors import (
     PointwiseSensor,
     ZonalSensor,
     gradient_signature,
+    sensor_nodes,
     signature_matrix,
     simulate_output,
     state_signature,
@@ -55,7 +56,6 @@ from .strategic import (
     exact_pointwise_verdict_1d,
     forbidden_sets_1d,
     group_eigenvalues,
-    group_signature_matrix,
     rank_test,
     residual_independence_check,
 )
@@ -72,9 +72,9 @@ __all__ = [
     "emit_report", "estimate_coefficients", "eval_eigenfunction",
     "eval_eigenfunction_gradient", "exact_pointwise_verdict_1d", "forbidden_sets_1d",
     "gradient_field_on_region", "gradient_gram", "gradient_signature",
-    "group_eigenvalues", "group_signature_matrix", "load_scenario", "location_scan",
+    "group_eigenvalues", "load_scenario", "location_scan",
     "norm_on_region", "observability_constant", "parse_scenario", "propagate",
     "rank_test", "reconstruction_error", "residual_independence_check", "run_command",
-    "signature_matrix", "simulate_output", "state_signature", "time_correlation",
+    "sensor_nodes", "signature_matrix", "simulate_output", "state_signature", "time_correlation",
     "validate_sensor", "zonal_around",
 ]

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ValidationError
-from .gramian import assemble_gramian, observability_constant, pointwise_margins
+from .gramian import assemble_gramian, pointwise_margins
 from .reconstruct import (
     estimate_coefficients,
     gradient_field_on_region,
@@ -105,9 +105,7 @@ def _group_rows(verdict) -> list[dict]:
 def _normalized_1d_location(sensor: PointwiseSensor, length: float):
     """Location rescaled to the unit interval; exactness kept when length is 1."""
     b = sensor.location[0]
-    if isinstance(b, Fraction) and length == 1.0:
-        return b
-    if isinstance(b, int) and length == 1.0:
+    if isinstance(b, (Fraction, int)) and length == 1.0:
         return Fraction(b)
     return float(b) / length
 
@@ -149,6 +147,7 @@ def _attach_1d_closed_form(sc: Scenario, verdict, results: dict) -> None:
     length = sc.domain.lengths[0]
     sensor_blocks = []
     normalized: list = []
+    blind_sets = []
     all_pointwise = all(isinstance(s, PointwiseSensor) for s in sc.sensors)
     for k, sensor in enumerate(sc.sensors):
         if not isinstance(sensor, PointwiseSensor):
@@ -158,6 +157,7 @@ def _attach_1d_closed_form(sc: Scenario, verdict, results: dict) -> None:
         b = _normalized_1d_location(sensor, length)
         normalized.append(b)
         fs = forbidden_sets_1d(b, sc.basis.truncation, sc.blind_tol)
+        blind_sets.append(fs)
         block = {
             "sensor": k + 1,
             "available": True,
@@ -200,13 +200,13 @@ def _attach_1d_closed_form(sc: Scenario, verdict, results: dict) -> None:
     elif all_pointwise and normalized:
         # numeric locations: the rank verdict stays authoritative, the
         # per-sensor blind-set blocks above carry the closed-form data
-        results["engines_agree"] = _numeric_agreement(sc, verdict, normalized)
+        results["engines_agree"] = _numeric_agreement(verdict, blind_sets)
 
 
-def _numeric_agreement(sc: Scenario, verdict, normalized: list) -> dict:
+def _numeric_agreement(verdict, blind_sets: list) -> dict:
     # single-sensor shortcut: blind-set membership must mirror the rank verdict
-    if len(normalized) == 1:
-        fs = forbidden_sets_1d(normalized[0], sc.basis.truncation, sc.blind_tol)
+    if len(blind_sets) == 1:
+        fs = blind_sets[0]
         return {
             "state": (not fs.in_state_set) == verdict.state_strategic,
             "gradient": (not fs.in_gradient_set) == verdict.gradient_strategic,
@@ -253,13 +253,12 @@ def _gramian_results(sc: Scenario) -> dict:
     result = assemble_gramian(sc.basis, list(sc.sensors), sc.region, sc.horizon,
                               sc.signature_mode, sc.quad, sc.grouping_rtol,
                               sc.margin_tol)
-    constant = observability_constant(result)
     return {
         "signature_mode": result.signature_mode,
         "horizon": result.horizon,
         "margin": result.margin,
         "positive_definite": result.positive_definite,
-        "observability_constant": constant,
+        "observability_constant": result.constant,
         "all_zero_signatures": result.all_zero_signatures,
         "trace_rank_deficient": result.rank_deficient,
         "group_margins": [{

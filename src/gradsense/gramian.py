@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .quadrature import QuadratureSpec
-from .sensors import Sensor, signature_matrix, validate_sensor
+from .sensors import Sensor, signature_matrix
 from .spectral import ModalBasis, Subregion, gradient_gram
 from .strategic import DEFAULT_GROUPING_RTOL, EigenGroup, group_eigenvalues
 
@@ -26,23 +26,30 @@ DEFAULT_MARGIN_TOL = 1e-10
 DEFAULT_TRACE_RANK_TOL = 1e-12
 
 
-def time_correlation(lam1: float, lam2: float, horizon: float) -> float:
-    """Integral of exp((lam1 + lam2) t) over [0, horizon].
-
-    Closed form (exp(s T) - 1)/s with the s -> 0 limit equal to T.  An
-    infinite horizon is allowed when the rate sum is negative.  expm1
-    keeps the value accurate for both tiny and very negative rate sums.
-    """
-    s = lam1 + lam2
-    if math.isinf(horizon):
-        if s < 0:
-            return -1.0 / s
-        return math.inf
-    if horizon <= 0:
+def _check_horizon(horizon: float) -> None:
+    if not horizon > 0:
         raise ValidationError(f"measurement horizon must be positive, got {horizon}")
-    if s == 0.0:
-        return horizon
-    return float(math.expm1(s * horizon) / s)
+
+
+def time_correlation(lam1, lam2, horizon: float):
+    """Integral of exp((lam1 + lam2) t) over [0, horizon], elementwise.
+
+    Closed form expm1(s T)/s, accurate for tiny and very negative rate sums
+    s, with the s -> 0 limit T.  Rates broadcast: (e[:, None], e[None, :])
+    gives the matrix over all pairs, scalars give a scalar.  An infinite
+    horizon needs every s < 0, where the value is -1/s.
+    """
+    _check_horizon(horizon)
+    s = np.add(lam1, lam2)
+    if math.isinf(horizon) and np.any(s >= 0):
+        raise ValidationError("infinite horizon needs strictly negative eigenvalue sums")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s == 0.0, horizon, np.expm1(s * horizon) / s)[()]
+
+
+def _constant(margin: float, margin_tol: float) -> float:
+    """1/sqrt(margin) when the margin clears its tolerance, else inf."""
+    return 1.0 / math.sqrt(margin) if margin > margin_tol else math.inf
 
 
 @dataclass(frozen=True)
@@ -76,22 +83,8 @@ class GramianResult:
     horizon: float
     truncation: int
     margin_tol: float
-    trace_rank_tol: float
     all_zero_signatures: bool
     rank_deficient: bool
-
-
-def _correlation_matrix(eigenvalues: np.ndarray, horizon: float) -> np.ndarray:
-    """Vectorized time_correlation over all eigenvalue pairs."""
-    s = eigenvalues[:, None] + eigenvalues[None, :]
-    if math.isinf(horizon):
-        if np.any(s >= 0):
-            raise ValidationError(
-                "infinite horizon needs strictly negative eigenvalue sums")
-        return -1.0 / s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tau = np.where(s == 0.0, horizon, np.expm1(s * horizon) / s)
-    return tau
 
 
 def _whitened_pencil_min(A: np.ndarray, W: np.ndarray,
@@ -113,8 +106,8 @@ def _whitened_pencil_min(A: np.ndarray, W: np.ndarray,
     return np.linalg.eigvalsh(M)[..., 0], int(np.count_nonzero(keep))
 
 
-def _group_margins(groups: list[EigenGroup], block, W: np.ndarray,
-                   trace_rank_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _group_margins(groups: list[EigenGroup], block,
+                   W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-group margins of a batch of output Grams against one trace Gram.
 
     ``block(idx)`` returns the (B, m, m) output-Gram blocks over the mode
@@ -126,7 +119,7 @@ def _group_margins(groups: list[EigenGroup], block, W: np.ndarray,
     margins, ranks = [], []
     for g in groups:
         idx = list(g.indices)
-        m, kept = _whitened_pencil_min(block(idx), W[np.ix_(idx, idx)], trace_rank_tol)
+        m, kept = _whitened_pencil_min(block(idx), W[np.ix_(idx, idx)], DEFAULT_TRACE_RANK_TOL)
         margins.append(m)
         ranks.append(kept)
     margins = np.stack(margins, axis=1)
@@ -137,8 +130,7 @@ def _group_margins(groups: list[EigenGroup], block, W: np.ndarray,
 
 
 def _validate_gramian_inputs(basis: ModalBasis, region: Subregion, horizon: float) -> None:
-    if horizon <= 0 and not math.isinf(horizon):
-        raise ValidationError(f"measurement horizon must be positive, got {horizon}")
+    _check_horizon(horizon)
     region.validate_in(basis.domain)
 
 
@@ -147,7 +139,6 @@ def assemble_gramian(basis: ModalBasis, sensors: list[Sensor], region: Subregion
                      quad: QuadratureSpec | None = None,
                      grouping_rtol: float = DEFAULT_GROUPING_RTOL,
                      margin_tol: float = DEFAULT_MARGIN_TOL,
-                     trace_rank_tol: float = DEFAULT_TRACE_RANK_TOL,
                      trace_gram: np.ndarray | None = None) -> GramianResult:
     """Assemble the finite-rank Gramian and its observability margin.
 
@@ -160,44 +151,37 @@ def assemble_gramian(basis: ModalBasis, sensors: list[Sensor], region: Subregion
     _validate_gramian_inputs(basis, region, horizon)
     if not sensors:
         raise ValidationError("empty sensor list")
-    for s in sensors:
-        validate_sensor(s, basis.domain)
     if signature_mode not in ("gradient", "state"):
         raise ValidationError(f"unknown signature mode {signature_mode!r}")
 
     sig = signature_matrix(basis, sensors, signature_mode, quad)
-    tau = _correlation_matrix(basis.eigenvalues, horizon)
-    A = tau * (sig.T @ sig)
+    e = basis.eigenvalues
+    A = time_correlation(e[:, None], e[None, :], horizon) * (sig.T @ sig)
     A = 0.5 * (A + A.T)
 
     W = trace_gram if trace_gram is not None else gradient_gram(basis, region, quad)
 
     groups = group_eigenvalues(basis, grouping_rtol)
     margins, ranks, overall = _group_margins(
-        groups, lambda idx: A[np.ix_(idx, idx)][None], W, trace_rank_tol)
+        groups, lambda idx: A[np.ix_(idx, idx)][None], W)
     overall = float(overall[0])
     group_margins = [GroupMargin(
         eigenvalue=g.eigenvalue, multiplicity=g.multiplicity, margin=m,
         trace_rank=kept, rank_deficient=kept < g.multiplicity)
         for g, m, kept in zip(groups, margins[0].tolist(), ranks.tolist())]
 
-    all_zero = bool(np.all(np.abs(sig) == 0.0))
-    positive = overall > margin_tol
-    constant = 1.0 / math.sqrt(overall) if positive else math.inf
-
     return GramianResult(
         output_gram=A,
         trace_gram=W,
         margin=overall,
         group_margins=tuple(group_margins),
-        positive_definite=positive,
-        constant=constant,
+        positive_definite=overall > margin_tol,
+        constant=_constant(overall, margin_tol),
         signature_mode=signature_mode,
         horizon=horizon,
         truncation=basis.truncation,
         margin_tol=margin_tol,
-        trace_rank_tol=trace_rank_tol,
-        all_zero_signatures=all_zero,
+        all_zero_signatures=bool(np.all(np.abs(sig) == 0.0)),
         rank_deficient=any(g.rank_deficient for g in group_margins))
 
 
@@ -213,25 +197,22 @@ def pointwise_margins(basis: ModalBasis, groups: list[EigenGroup], sig: np.ndarr
     built.  Row c equals assemble_gramian's margin for the sensor alone.
     """
     _validate_gramian_inputs(basis, region, horizon)
-    tau = _correlation_matrix(basis.eigenvalues, horizon)
+    e = basis.eigenvalues
+    tau = time_correlation(e[:, None], e[None, :], horizon)
     W = gradient_gram(basis, region, quad)
 
     def block(idx):
         s = sig[:, idx]
         return tau[np.ix_(idx, idx)] * (s[:, :, None] * s[:, None, :])
 
-    return _group_margins(groups, block, W, DEFAULT_TRACE_RANK_TOL)[2]
+    return _group_margins(groups, block, W)[2]
 
 
-def observability_constant(result: GramianResult,
-                           margin_tol: float | None = None) -> float:
+def observability_constant(result: GramianResult) -> float:
     """Smallest admissible constant in the truncated observation inequality.
 
     Equals 1/sqrt(margin) in the region-weighted metric; infinite when the
     margin does not clear the tolerance, meaning the truncated system is
     not gradient observable on the region at this sensor placement.
     """
-    tol = result.margin_tol if margin_tol is None else margin_tol
-    if result.margin > tol:
-        return 1.0 / math.sqrt(result.margin)
-    return math.inf
+    return _constant(result.margin, result.margin_tol)

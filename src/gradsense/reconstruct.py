@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ComputationError, ValidationError
 from .quadrature import QuadratureSpec
-from .sensors import MeasurementSeries, Sensor, signature_matrix, validate_sensor
+from .sensors import MeasurementSeries, Sensor, signature_matrix
 from .spectral import (
     GradientField,
     Mode,
@@ -28,7 +28,7 @@ from .spectral import (
     box_rule,
     coefficient_vector,
     eigenfunction_gradients,
-    gradient_gram,
+    norm_on_region,
     tensor_points,
 )
 
@@ -78,8 +78,6 @@ def estimate_coefficients(measurements: MeasurementSeries, basis: ModalBasis,
             f"unknown regularization {regularization!r}; choose from {REGULARIZATIONS}")
     if not sensors:
         raise ValidationError("empty sensor list")
-    for sensor in sensors:
-        validate_sensor(sensor, basis.domain)
     if measurements.n_sensors != len(sensors):
         raise ValidationError(
             f"measurement series has {measurements.n_sensors} rows "
@@ -217,10 +215,8 @@ def reconstruction_error(true_coeffs: np.ndarray, est_coeffs: np.ndarray,
     """L2 gradient error of the estimate, restricted and unrestricted."""
     e = coefficient_vector(basis, true_coeffs) - coefficient_vector(basis, est_coeffs)
     region.validate_in(basis.domain)
-    W_region = gradient_gram(basis, region, quad)
-    W_domain = gradient_gram(basis, None, quad)
-    err_region = math.sqrt(max(0.0, float(e @ W_region @ e)))
-    err_domain = math.sqrt(max(0.0, float(e @ W_domain @ e)))
+    err_region = norm_on_region(basis, e, region, quad)
+    err_domain = norm_on_region(basis, e, None, quad)
     record = ErrorRecord(err_region=err_region, err_domain=err_domain)
     if not record.restriction_ok:
         raise ComputationError(

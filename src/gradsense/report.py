@@ -20,6 +20,10 @@ import numpy as np
 
 from .errors import ValidationError
 
+# RFC 8259: control characters U+0000-U+001F must be escaped in strings
+_CONTROL_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)} | {
+    0x08: "\\b", 0x09: "\\t", 0x0A: "\\n", 0x0C: "\\f", 0x0D: "\\r"}
+
 
 @dataclass(frozen=True, eq=False)
 class Report:
@@ -56,7 +60,10 @@ def _json_fragment(value, out: list[str]) -> None:
     elif isinstance(value, (float, np.floating)):
         out.append(format_float(float(value)))
     elif isinstance(value, str):
-        out.append('"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        text = value.replace("\\", "\\\\").replace('"', '\\"')
+        if not text.isprintable():
+            text = text.translate(_CONTROL_ESCAPES)
+        out.append('"' + text + '"')
     elif isinstance(value, dict):
         out.append("{")
         for k, (key, item) in enumerate(value.items()):
@@ -100,12 +107,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        f = float(value)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f"{f:.15g}"
+        return format_float(float(value)).strip('"')
     text = str(value)
     if any(c in text for c in ',"\n'):
         return '"' + text.replace('"', '""') + '"'

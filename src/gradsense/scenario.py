@@ -2,14 +2,17 @@
 
 One ``key = value`` pair per line, ``#`` comments, no nesting.  Locations
 and region bounds written as fractions ("1/3") stay exact and switch the
-rational membership and closed-form checks onto exact arithmetic.  Unknown
+rational membership and closed-form checks onto exact arithmetic.  Every
+number must be finite, except that "horizon" may be inf.  Unknown
 keys are rejected so typos cannot silently change a run.  The full schema
 is documented in docs/scenario_format.md.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -17,31 +20,21 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ScenarioError
-from .quadrature import QuadratureSpec
+from .gramian import DEFAULT_MARGIN_TOL
+from .quadrature import DEFAULT_ORDER, QuadratureSpec
+from .reconstruct import DEFAULT_IDENTIFIABILITY_TOL
 from .sensors import FilamentSensor, PointwiseSensor, Sensor, ZonalSensor, validate_sensor
 from .spectral import Domain, ModalBasis, Subregion, build_basis
+from .strategic import DEFAULT_BLIND_TOL, DEFAULT_GROUPING_RTOL, DEFAULT_RANK_RTOL
 
-KNOWN_KEYS = {
-    "domain.kind", "domain.length", "domain.lengths",
-    "region.bounds",
-    "basis.truncation", "basis.adaptation",
-    "horizon",
-    "time.samples", "time.spacing", "time.grid",
-    "signature_mode",
-    "tolerance.rank", "tolerance.grouping", "tolerance.margin",
-    "tolerance.blind", "tolerance.identifiability",
-    "quadrature.order", "quadrature.panels",
-    "noise.stddev", "noise.seed",
-    "initial.coefficients",
-    "regularization.kind", "regularization.value",
-    "scan.grid",
-}
-SENSOR_SUBKEYS = {"kind", "location", "box", "weight", "weight_values", "curve"}
 _SENSOR_KEY = re.compile(r"^sensor\.(\d+)\.([a-z_]+)$")
 
 
 def parse_number(text: str):
-    """Parse a scalar: fraction strings stay Fractions, plain integers ints."""
+    """Parse a finite scalar: fraction strings stay Fractions, plain integers ints.
+
+    nan and +-inf are rejected; parse_scenario lets only "horizon" be +inf.
+    """
     text = text.strip()
     if "/" in text:
         try:
@@ -53,9 +46,12 @@ def parse_number(text: str):
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ScenarioError(f"bad number {text!r}") from None
+    if not math.isfinite(value):
+        raise ScenarioError(f"number {text!r} is not finite")
+    return value
 
 
 def parse_number_list(text: str) -> list:
@@ -136,21 +132,36 @@ class _Reader:
         return [k for k in self.entries if k not in self.used]
 
 
+@contextmanager
+def _naming(reader: _Reader, key: str):
+    """Prefix a parse error inside the block with the key and its line."""
+    try:
+        yield
+    except ScenarioError as exc:
+        raise ScenarioError(f'line {reader.line(key)}: key "{key}": {exc}') from None
+
+
+def _numbers(reader: _Reader, key: str, required: bool = False) -> list | None:
+    raw = reader.require(key) if required else reader.get(key)
+    if raw is None:
+        return None
+    with _naming(reader, key):
+        return parse_number_list(raw)
+
+
 def _scalar(reader: _Reader, key: str, default=None, kind: str = "float",
             minimum=None):
     raw = reader.get(key)
     if raw is None:
         return default
-    try:
+    with _naming(reader, key):
         value = parse_number(raw)
-    except ScenarioError as exc:
-        raise ScenarioError(f'line {reader.line(key)}: key "{key}": {exc}') from None
     if kind == "int":
         if not isinstance(value, int):
             raise ScenarioError(f'line {reader.line(key)}: key "{key}" must be an integer')
     else:
         value = float(value)
-    if minimum is not None and value < minimum:
+    if minimum is not None and not value >= minimum:
         raise ScenarioError(
             f'line {reader.line(key)}: key "{key}" must be >= {minimum}, got {value}')
     return value
@@ -176,10 +187,10 @@ def _parse_sensors(reader: _Reader, domain: Domain) -> list[Sensor]:
         prefix = f"sensor.{k}."
         kind = reader.require(prefix + "kind")
         if kind == "pointwise":
-            location = parse_number_list(reader.require(prefix + "location"))
+            location = _numbers(reader, prefix + "location", required=True)
             sensor: Sensor = PointwiseSensor(location=tuple(location))
         elif kind == "zonal":
-            box_values = parse_number_list(reader.require(prefix + "box"))
+            box_values = _numbers(reader, prefix + "box", required=True)
             if len(box_values) != 2 * domain.dim:
                 raise ScenarioError(
                     f'key "{prefix}box" needs {2 * domain.dim} numbers for a '
@@ -187,29 +198,22 @@ def _parse_sensors(reader: _Reader, domain: Domain) -> list[Sensor]:
             box = tuple((box_values[2 * a], box_values[2 * a + 1])
                         for a in range(domain.dim))
             weight = reader.get(prefix + "weight", "uniform")
-            values_raw = reader.get(prefix + "weight_values")
-            values = tuple(float(v) for v in parse_number_list(values_raw)) \
-                if values_raw is not None else None
+            values = _numbers(reader, prefix + "weight_values")
+            if values is not None:
+                values = tuple(float(v) for v in values)
             sensor = ZonalSensor(box=box, weight=weight, weight_values=values)
         elif kind == "filament":
-            curve_raw = reader.require(prefix + "curve")
+            chunks = (c.strip() for c in reader.require(prefix + "curve").split(";"))
             points = []
-            for chunk in curve_raw.split(";"):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                coords = parse_number_list(chunk)
+            for chunk in filter(None, chunks):
+                with _naming(reader, prefix + "curve"):
+                    coords = parse_number_list(chunk)
                 if len(coords) != 2:
                     raise ScenarioError(
                         f'key "{prefix}curve": each point needs 2 coordinates, got {chunk!r}')
                 points.append((float(coords[0]), float(coords[1])))
-            weight_raw = reader.get(prefix + "weight", "1")
-            try:
-                weight_value = float(parse_number(weight_raw))
-            except ScenarioError:
-                raise ScenarioError(
-                    f'key "{prefix}weight" must be a scalar for filament sensors') from None
-            sensor = FilamentSensor(points=tuple(points), weight=weight_value)
+            sensor = FilamentSensor(points=tuple(points),
+                                    weight=_scalar(reader, prefix + "weight", 1.0))
         else:
             raise ScenarioError(
                 f'key "{prefix}kind" must be pointwise, zonal, or filament, got {kind!r}')
@@ -223,9 +227,9 @@ def _parse_sensors(reader: _Reader, domain: Domain) -> list[Sensor]:
 
 
 def _build_times(reader: _Reader, horizon: float) -> np.ndarray:
-    grid_raw = reader.get("time.grid")
-    if grid_raw is not None:
-        times = np.array([float(v) for v in parse_number_list(grid_raw)])
+    grid = _numbers(reader, "time.grid")
+    if grid is not None:
+        times = np.array([float(v) for v in grid])
     else:
         samples = _scalar(reader, "time.samples", 64, kind="int", minimum=1)
         spacing = _choice(reader, "time.spacing", ("uniform", "geometric"), "uniform")
@@ -261,19 +265,15 @@ def parse_scenario(text: str) -> Scenario:
                                 'use "domain.length"')
         domain = Domain.interval(length)
     else:
-        raw = reader.get("domain.lengths")
-        if raw is None:
-            lengths = [1.0, 1.0]
-        else:
-            lengths = [float(v) for v in parse_number_list(raw)]
-            if len(lengths) != 2:
-                raise ScenarioError('key "domain.lengths" needs exactly 2 numbers')
+        lengths = [float(v) for v in _numbers(reader, "domain.lengths") or (1, 1)]
+        if len(lengths) != 2:
+            raise ScenarioError('key "domain.lengths" needs exactly 2 numbers')
         if "domain.length" in entries:
             raise ScenarioError('key "domain.length" is for interval domains; '
                                 'use "domain.lengths"')
         domain = Domain.rectangle(*lengths)
 
-    bounds_values = parse_number_list(reader.require("region.bounds"))
+    bounds_values = _numbers(reader, "region.bounds", required=True)
     if len(bounds_values) != 2 * domain.dim:
         raise ScenarioError(
             f'key "region.bounds" needs {2 * domain.dim} numbers for a '
@@ -281,47 +281,47 @@ def parse_scenario(text: str) -> Scenario:
     region = Subregion(tuple((bounds_values[2 * a], bounds_values[2 * a + 1])
                              for a in range(domain.dim))).validate_in(domain)
 
-    truncation_raw = reader.get("basis.truncation")
-    if truncation_raw is None:
-        raise ScenarioError('missing required key "basis.truncation" (truncation)')
     truncation = _scalar(reader, "basis.truncation", kind="int", minimum=1)
+    if truncation is None:
+        raise ScenarioError('missing required key "basis.truncation" (truncation)')
     adaptation = _choice(reader, "basis.adaptation", ("global", "subregion"), "global")
     basis = build_basis(domain, truncation,
                         adapted_to=region if adaptation == "subregion" else None)
 
     sensors = _parse_sensors(reader, domain)
 
-    horizon = _scalar(reader, "horizon", 1.0)
-    if horizon <= 0:
+    # the one key that may be infinite: an unbounded measurement window
+    infinite = reader.get("horizon", "").lower().removeprefix("+") in ("inf", "infinity")
+    horizon = math.inf if infinite else _scalar(reader, "horizon", 1.0)
+    if not horizon > 0:
         raise ScenarioError('key "horizon" must be positive')
     times = _build_times(reader, horizon)
 
     signature_mode = _choice(reader, "signature_mode", ("gradient", "state"), "gradient")
 
     tolerances = {
-        "rank": _scalar(reader, "tolerance.rank", 1e-10),
-        "grouping": _scalar(reader, "tolerance.grouping", 1e-9),
-        "margin": _scalar(reader, "tolerance.margin", 1e-10),
-        "blind": _scalar(reader, "tolerance.blind", 1e-9),
-        "identifiability": _scalar(reader, "tolerance.identifiability", 1e-8),
+        "rank": _scalar(reader, "tolerance.rank", DEFAULT_RANK_RTOL),
+        "grouping": _scalar(reader, "tolerance.grouping", DEFAULT_GROUPING_RTOL),
+        "margin": _scalar(reader, "tolerance.margin", DEFAULT_MARGIN_TOL),
+        "blind": _scalar(reader, "tolerance.blind", DEFAULT_BLIND_TOL),
+        "identifiability": _scalar(reader, "tolerance.identifiability",
+                                   DEFAULT_IDENTIFIABILITY_TOL),
     }
     for name, value in tolerances.items():
         if not value > 0:
             raise ScenarioError(f'key "tolerance.{name}" must be strictly positive')
 
-    order = _scalar(reader, "quadrature.order", 16, kind="int", minimum=2)
-    panels_raw = reader.get("quadrature.panels")
-    panels = _scalar(reader, "quadrature.panels", None, kind="int", minimum=1) \
-        if panels_raw is not None else None
+    order = _scalar(reader, "quadrature.order", DEFAULT_ORDER, kind="int", minimum=2)
+    panels = _scalar(reader, "quadrature.panels", kind="int", minimum=1)
     quad = QuadratureSpec(order=order, panels=panels)
 
     noise_std = _scalar(reader, "noise.stddev", 0.0, minimum=0.0)
     noise_seed = _scalar(reader, "noise.seed", 0, kind="int")
 
-    coeffs_raw = reader.get("initial.coefficients")
+    coeffs = _numbers(reader, "initial.coefficients")
     initial = None
-    if coeffs_raw is not None:
-        values = [float(v) for v in parse_number_list(coeffs_raw)]
+    if coeffs is not None:
+        values = [float(v) for v in coeffs]
         if len(values) > basis.n_modes:
             raise ScenarioError(
                 f'key "initial.coefficients" has {len(values)} entries, basis has '

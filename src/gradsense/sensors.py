@@ -63,10 +63,6 @@ class ZonalSensor:
 
     kind = "zonal"
 
-    @property
-    def center(self) -> tuple[float, ...]:
-        return tuple(0.5 * (lo + hi) for lo, hi in self.box)
-
 
 @dataclass(frozen=True)
 class FilamentSensor:
@@ -80,9 +76,6 @@ class FilamentSensor:
     def segments(self) -> list[tuple[np.ndarray, np.ndarray]]:
         pts = [np.asarray(p, dtype=float) for p in self.points]
         return [(pts[k], pts[k + 1]) for k in range(len(pts) - 1)]
-
-    def arclength(self) -> float:
-        return sum(float(np.linalg.norm(b - a)) for a, b in self.segments())
 
 
 Sensor = PointwiseSensor | ZonalSensor | FilamentSensor
@@ -166,6 +159,24 @@ def _filament_nodes(basis: ModalBasis, sensor: FilamentSensor,
     return np.vstack(pts_list), np.concatenate(w_list)
 
 
+def sensor_nodes(basis: ModalBasis, sensor: Sensor,
+                 quad: QuadratureSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The sensor as a weighted node set: points (n, dim) and weights (n,).
+
+    A sensor reads a field f as sum_k weights[k] f(points[k]).  Pointwise:
+    the location with weight 1.  Zonal: the box's tensor rule times the
+    zonal weight.  Filament: the arclength rule times the scalar weight.
+    """
+    validate_sensor(sensor, basis.domain)
+    if isinstance(sensor, PointwiseSensor):
+        return sensor.position[None, :], np.ones(1)
+    if isinstance(sensor, ZonalSensor):
+        pts, w = box_rule(basis, sensor.box, quad)
+        return pts, w * _zonal_weight_values(sensor, pts)
+    pts, w = _filament_nodes(basis, sensor, quad)
+    return pts, w * sensor.weight
+
+
 def state_signature(basis: ModalBasis, sensor: Sensor,
                     quad: QuadratureSpec | None = None) -> np.ndarray:
     """Per-mode reading of the eigenfunctions by the sensor.
@@ -174,15 +185,8 @@ def state_signature(basis: ModalBasis, sensor: Sensor,
     with the weight.  Filament: the arclength integral of phi_m times the
     scalar weight.
     """
-    validate_sensor(sensor, basis.domain)
-    if isinstance(sensor, PointwiseSensor):
-        return _pointwise_rows(basis, sensor.position[None, :], "state")[0]
-    if isinstance(sensor, ZonalSensor):
-        pts, w = box_rule(basis, sensor.box, quad)
-        f = _zonal_weight_values(sensor, pts)
-        return eigenfunction_values(basis, pts) @ (f * w)
-    pts, w = _filament_nodes(basis, sensor, quad)
-    return eigenfunction_values(basis, pts) @ w * sensor.weight
+    pts, w = sensor_nodes(basis, sensor, quad)
+    return eigenfunction_values(basis, pts) @ w
 
 
 def gradient_signature(basis: ModalBasis, sensor: Sensor,
@@ -193,30 +197,18 @@ def gradient_signature(basis: ModalBasis, sensor: Sensor,
     The scalar signature sums the axis partials; ``componentwise=True``
     returns one column per axis instead, for sensitivity studies.
     """
-    validate_sensor(sensor, basis.domain)
-    if isinstance(sensor, PointwiseSensor):
-        if not componentwise:
-            return _pointwise_rows(basis, sensor.position[None, :], "gradient")[0]
-        comps = eigenfunction_gradients(basis, sensor.position[None, :])[:, :, 0]
-    elif isinstance(sensor, ZonalSensor):
-        pts, w = box_rule(basis, sensor.box, quad)
-        f = _zonal_weight_values(sensor, pts)
-        comps = eigenfunction_gradients(basis, pts) @ (f * w)
-    else:
-        pts, w = _filament_nodes(basis, sensor, quad)
-        comps = eigenfunction_gradients(basis, pts) @ w * sensor.weight
-    return comps.copy() if componentwise else comps.sum(axis=1)
+    pts, w = sensor_nodes(basis, sensor, quad)
+    comps = eigenfunction_gradients(basis, pts) @ w
+    return comps if componentwise else comps.sum(axis=1)
 
 
 def signature_matrix(basis: ModalBasis, sensors: list[Sensor], kind: str,
                      quad: QuadratureSpec | None = None) -> np.ndarray:
     """Stack signatures row per sensor: shape (n_sensors, n_modes)."""
-    if kind == "state":
-        rows = [state_signature(basis, s, quad) for s in sensors]
-    elif kind == "gradient":
-        rows = [gradient_signature(basis, s, quad) for s in sensors]
-    else:
+    if kind not in ("state", "gradient"):
         raise ValidationError(f"unknown signature kind {kind!r}")
+    signature = state_signature if kind == "state" else gradient_signature
+    rows = [signature(basis, s, quad) for s in sensors]
     return np.vstack(rows) if rows else np.empty((0, basis.n_modes))
 
 
@@ -236,10 +228,6 @@ def pointwise_signatures(basis: ModalBasis, points: np.ndarray, kind: str) -> np
     if not inside.all():
         point = tuple(points[int(np.argmin(inside))].tolist())
         raise ValidationError(f"pointwise sensor at {point} is outside the domain")
-    return _pointwise_rows(basis, points, kind)
-
-
-def _pointwise_rows(basis: ModalBasis, points: np.ndarray, kind: str) -> np.ndarray:
     if kind == "state":
         return eigenfunction_values(basis, points).T
     return eigenfunction_gradients(basis, points).sum(axis=1).T

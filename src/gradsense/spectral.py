@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ComputationError, ValidationError
 from .quadrature import QuadratureSpec, interval_rule
 
 Mode = int | tuple[int, int]
@@ -24,8 +24,6 @@ Mode = int | tuple[int, int]
 
 def _as_float(x) -> float:
     # Fractions are carried around for exact membership tests; numerics use float.
-    if isinstance(x, Fraction):
-        return float(x)
     if isinstance(x, numbers.Real):
         return float(x)
     raise ValidationError(f"expected a real number, got {x!r}")
@@ -131,7 +129,7 @@ class Subregion:
 
 
 def point_array(point, dim: int) -> np.ndarray:
-    if dim == 1 and isinstance(point, (numbers.Real, Fraction)):
+    if dim == 1 and isinstance(point, numbers.Real):
         return np.array([_as_float(point)])
     p = np.asarray([_as_float(c) for c in np.atleast_1d(np.asarray(point, dtype=object))])
     if p.shape != (dim,):
@@ -285,22 +283,24 @@ def box_rule(basis: ModalBasis, bounds, quad: QuadratureSpec | None = None
     return tensor_points([x for x, _ in rules]), weights
 
 
-def eval_eigenfunction(basis: ModalBasis, mode: Mode, point) -> float:
-    """Analytic value of one eigenfunction at a point of the closed domain."""
+def _closed_point(basis: ModalBasis, point) -> np.ndarray:
+    """``point`` as a (1, dim) array, checked to lie in the closed domain."""
     p = point_array(point, basis.dim)
     if not basis.domain.contains(p):
         raise ValidationError(f"point {point!r} lies outside the closed domain")
-    k = basis.index_of(mode)
-    return float(eigenfunction_values(basis, p[None, :])[k, 0])
+    return p[None, :]
+
+
+def eval_eigenfunction(basis: ModalBasis, mode: Mode, point) -> float:
+    """Analytic value of one eigenfunction at a point of the closed domain."""
+    p = _closed_point(basis, point)
+    return float(eigenfunction_values(basis, p)[basis.index_of(mode), 0])
 
 
 def eval_eigenfunction_gradient(basis: ModalBasis, mode: Mode, point) -> np.ndarray:
     """Analytic gradient of one eigenfunction, one component per axis."""
-    p = point_array(point, basis.dim)
-    if not basis.domain.contains(p):
-        raise ValidationError(f"point {point!r} lies outside the closed domain")
-    k = basis.index_of(mode)
-    return eigenfunction_gradients(basis, p[None, :])[k, :, 0].copy()
+    p = _closed_point(basis, point)
+    return eigenfunction_gradients(basis, p)[basis.index_of(mode), :, 0].copy()
 
 
 def propagate(basis: ModalBasis, coeffs: np.ndarray, t: float) -> np.ndarray:
@@ -390,8 +390,10 @@ def norm_on_region(basis: ModalBasis, field, region: Subregion | None = None,
     if isinstance(field, GradientField):
         if field.weights is None:
             raise ValidationError("GradientField has no quadrature weights to integrate with")
-        return float(math.sqrt(max(0.0, float(
-            np.sum(field.weights * np.sum(field.values ** 2, axis=1))))))
-    a = coefficient_vector(basis, field)
-    W = gradient_gram(basis, region, quad)
-    return float(math.sqrt(max(0.0, float(a @ W @ a))))
+        square = float(np.sum(field.weights * np.sum(field.values ** 2, axis=1)))
+    else:
+        a = coefficient_vector(basis, field)
+        square = float(a @ gradient_gram(basis, region, quad) @ a)
+    if math.isnan(square):
+        raise ComputationError("gradient norm is not a number; the field is not finite")
+    return math.sqrt(max(0.0, square))

@@ -26,7 +26,6 @@ from .sensors import (
     Sensor,
     ZonalSensor,
     signature_matrix,
-    validate_sensor,
 )
 from .spectral import Mode, ModalBasis, Subregion, _as_float, gradient_gram
 
@@ -79,14 +78,6 @@ def _finish_group(basis: ModalBasis, indices: list[int]) -> EigenGroup:
         eigenvalue=float(basis.eigenvalues[indices[0]]),
         modes=tuple(basis.modes[k] for k in indices),
         indices=tuple(indices))
-
-
-def group_signature_matrix(group: EigenGroup, sensors: list[Sensor],
-                           basis: ModalBasis, kind: str = "gradient",
-                           quad: QuadratureSpec | None = None) -> np.ndarray:
-    """Signature matrix of one eigenvalue group: sensors x member modes."""
-    sig = signature_matrix(basis, sensors, kind, quad)
-    return sig[:, list(group.indices)]
 
 
 @dataclass(frozen=True)
@@ -212,8 +203,6 @@ def rank_test(basis: ModalBasis, sensors: list[Sensor],
     """
     if not sensors:
         raise ValidationError("empty sensor list")
-    for s in sensors:
-        validate_sensor(s, basis.domain)
     groups = group_eigenvalues(basis, grouping_rtol)
     if not groups:
         raise ValidationError("basis produced no eigenvalue groups")
@@ -278,8 +267,8 @@ def _as_fraction(b) -> Fraction | None:
     return None
 
 
-def forbidden_sets_1d(b, max_index: int, tol: float = DEFAULT_BLIND_TOL,
-                      exact: bool | None = None) -> ForbiddenSetResult:
+def forbidden_sets_1d(b, max_index: int,
+                      tol: float = DEFAULT_BLIND_TOL) -> ForbiddenSetResult:
     """Blind-set membership for a pointwise location on the unit interval.
 
     Locations given as Fractions are decided exactly: every rational is in
@@ -293,22 +282,14 @@ def forbidden_sets_1d(b, max_index: int, tol: float = DEFAULT_BLIND_TOL,
         raise ValidationError(f"location must lie strictly inside (0, 1), got {b!r}")
     if max_index < 1:
         raise ValidationError(f"max_index must be >= 1, got {max_index}")
-    use_exact = (frac is not None) if exact is None else exact
-    if use_exact:
-        if frac is None:
-            raise ValidationError(f"exact membership needs a Fraction location, got {b!r}")
+    if frac is not None:
+        # b = p/q is the state member k/n with n=q, k=p; for even q, p is
+        # odd since p/q is reduced, so b is the gradient member (2k+1)/(2n)
         p, q = frac.numerator, frac.denominator
-        in_state = True                      # b = p/q is the member k/n with n=q, k=p
-        state_witness = (q, p)
-        if q % 2 == 0:
-            in_gradient = True               # p odd since p/q is reduced
-            gradient_witness = (q // 2, (p - 1) // 2)
-        else:
-            in_gradient = False
-            gradient_witness = None
+        even = q % 2 == 0
         return ForbiddenSetResult(
-            in_state_set=in_state, in_gradient_set=in_gradient,
-            state_witness=state_witness, gradient_witness=gradient_witness,
+            in_state_set=True, in_gradient_set=even, state_witness=(q, p),
+            gradient_witness=(q // 2, (p - 1) // 2) if even else None,
             exact=True, max_index=max_index, tol=tol)
 
     n = np.arange(1, max_index + 1)
@@ -419,8 +400,7 @@ def _axis_ratio(index: int, coord, lo, hi, tol: float) -> tuple[float, bool, boo
     return v, bool(v >= -tol and abs(v - round(v)) <= tol), False
 
 
-def _filament_symmetry_center(sensor: FilamentSensor,
-                              geom_tol: float = 1e-9) -> tuple[float, float]:
+def _filament_symmetry_center(sensor: FilamentSensor) -> tuple[float, float]:
     """Center of a polyline symmetric about an axis-parallel line.
 
     The reversed point sequence must equal the sequence reflected about
@@ -431,7 +411,7 @@ def _filament_symmetry_center(sensor: FilamentSensor,
     for axis in range(2):
         reflected = pts.copy()
         reflected[:, axis] = spans[axis] - reflected[:, axis]
-        if np.allclose(reflected[::-1], pts, atol=geom_tol):
+        if np.allclose(reflected[::-1], pts, atol=1e-9):
             return _arclength_midpoint(pts)
     raise ValidationError(
         "filament curve is not symmetric about an axis-parallel line; "

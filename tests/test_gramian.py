@@ -46,6 +46,40 @@ class TestTimeCorrelation:
         with pytest.raises(ValidationError):
             time_correlation(-1.0, -1.0, 0.0)
 
+    def test_nan_horizon_rejected(self):
+        with pytest.raises(ValidationError, match="horizon"):
+            time_correlation(-1.0, -1.0, math.nan)
+        basis = build_basis(Domain.interval(1.0), 4)
+        with pytest.raises(ValidationError, match="horizon"):
+            assemble_gramian(basis, [PointwiseSensor((0.3,))], REGION, horizon=math.nan)
+
+    @pytest.mark.parametrize("rates", [(-1.0, 1.0), (0.0, 0.0), (2.0, 3.0)])
+    def test_infinite_horizon_needs_negative_rate_sum(self, rates):
+        with pytest.raises(ValidationError, match="infinite horizon"):
+            time_correlation(*rates, math.inf)
+
+    def test_infinite_horizon_rejects_any_nonnegative_pair(self):
+        e = np.array([-4.0, -1.0, 1.0])
+        with pytest.raises(ValidationError, match="infinite horizon"):
+            time_correlation(e[:, None], e[None, :], math.inf)
+
+    def test_scalar_rates_give_a_scalar(self):
+        value = time_correlation(-2.0, -3.0, 0.7)
+        assert np.ndim(value) == 0
+        assert isinstance(value, float)
+
+    @pytest.mark.parametrize("horizon", [0.3, 2.5, 60.0, math.inf])
+    def test_broadcast_equals_elementwise_scalar_calls(self, horizon):
+        # the matrix the Gramian uses is the scalar formula applied pairwise, bit for bit
+        basis = build_basis(Domain.rectangle(1.0, 1.3), 5)
+        e = basis.eigenvalues
+        if not math.isinf(horizon):
+            e = np.concatenate([e, [0.5, 0.0, 1e-300, -0.5]])   # zero and tiny rate sums
+        matrix = time_correlation(e[:, None], e[None, :], horizon)
+        scalars = np.array([[time_correlation(a, b, horizon) for b in e] for a in e])
+        assert matrix.shape == (e.size, e.size)
+        assert np.array_equal(matrix, scalars)
+
 
 class TestWhitenedPencil:
     def test_identity_weight(self):
@@ -164,6 +198,12 @@ class TestObservabilityConstant:
         result = assemble_gramian(basis, [PointwiseSensor((0.3,))], REGION)
         synthetic = dataclasses.replace(result, margin=0.0)
         assert math.isinf(observability_constant(synthetic))
+
+    def test_result_constant_is_the_function_value(self):
+        basis = build_basis(Domain.interval(1.0), 5)
+        for location in (Fraction(1, 3), Fraction(1, 2)):
+            result = assemble_gramian(basis, [PointwiseSensor((location,))], REGION)
+            assert result.constant == observability_constant(result)
 
     def test_matches_inverse_root_margin(self):
         basis = build_basis(Domain.interval(1.0), 5)

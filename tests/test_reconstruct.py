@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradsense.errors import ValidationError
+from gradsense.errors import ComputationError, ValidationError
 from gradsense.reconstruct import (
     REGULARIZATIONS,
     design_matrix,
@@ -280,3 +280,18 @@ class TestReconstructionError:
         basis = build_basis(Domain.interval(1.0), 4)
         with pytest.raises(ValidationError):
             reconstruction_error(np.zeros(3), np.zeros(4), basis, REGION)
+
+    def test_equals_two_region_norms(self):
+        basis = build_basis(Domain.rectangle(1.0, 1.5), 4)
+        region = Subregion.rectangle(0.1, 0.6, 0.4, 1.2)
+        rng = np.random.default_rng(21)
+        a, b = rng.normal(size=basis.n_modes), rng.normal(size=basis.n_modes)
+        record = reconstruction_error(a, b, basis, region)
+        assert record.err_region == norm_on_region(basis, a - b, region)
+        assert record.err_domain == norm_on_region(basis, a - b, None)
+
+    def test_nan_estimate_raises(self):
+        basis = build_basis(Domain.interval(1.0), 4)
+        with pytest.raises(ComputationError, match="not a number"):
+            reconstruction_error(np.ones(4), np.array([1.0, math.nan, 0.0, 0.0]),
+                                 basis, REGION)

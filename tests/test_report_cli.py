@@ -570,6 +570,56 @@ class TestCli:
         assert main([command, "--config", self.write(tmp_path, text)]) == 0
         json.loads(capsys.readouterr().out)
 
+    @pytest.mark.parametrize("command, key, text", [
+        ("gramian", "horizon",
+         BASE.replace("horizon = 1", "horizon = nan") + "time.samples = 1\n"),
+        ("simulate", "noise.stddev",
+         SIMULATE.replace("noise.stddev = 0.01", "noise.stddev = nan")),
+        ("simulate", "noise.stddev",
+         SIMULATE.replace("noise.stddev = 0.01", "noise.stddev = inf")),
+        ("reconstruct", "regularization.value",
+         SIMULATE + "regularization.kind = tikhonov\nregularization.value = nan\n"),
+        ("reconstruct", "initial.coefficients",
+         SIMULATE.replace("initial.coefficients = 1, 0, 0.5", "initial.coefficients = 1, nan")),
+        ("reconstruct", "initial.coefficients",
+         SIMULATE.replace("initial.coefficients = 1, 0, 0.5", "initial.coefficients = 1, inf")),
+        ("check", "domain.lengths",
+         "domain.kind = rectangle\ndomain.lengths = 1, inf\nregion.bounds = 0.2, 0.5, 0.2, 0.5\n"
+         "basis.truncation = 3\nsensor.1.kind = pointwise\nsensor.1.location = 0.3, 0.4\n"),
+        ("check", "domain.length", BASE.replace("domain.length = 1", "domain.length = inf")),
+        ("check", "tolerance.rank", BASE + "tolerance.rank = inf\n"),
+    ], ids=["horizon-nan", "noise-nan", "noise-inf", "regularization-nan", "coefficient-nan",
+            "coefficient-inf", "lengths-inf", "length-inf", "rank-tolerance-inf"])
+    def test_non_finite_input_exits_1_naming_its_key(self, tmp_path, capsys, command, key, text):
+        code = main([command, "--config", self.write(tmp_path, text)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f'key "{key}"' in captured.err
+        assert "not finite" in captured.err
+
+    def test_control_characters_are_escaped(self, tmp_path, capsys):
+        text = BASE + "scan.grid = 0.1,\t0.5\n"
+        assert main(["scan", "--config", self.write(tmp_path, text)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["scenario"]["scan.grid"] == "0.1,\t0.5"
+        assert payload["results"]["grid"] == "0.1,\t0.5"
+        assert len(payload["results"]["rows"]) == 2
+
+    def test_trace_rank_deficiency_fires_on_a_thin_edge_region(self, tmp_path, capsys):
+        # a 0.001-wide region against the x = 0 edge: the trace Gram blocks W_g
+        # of two eigenvalue groups lose numerical rank although, in exact
+        # arithmetic, every W_g of an open region is positive definite
+        text = ("domain.kind = rectangle\ndomain.lengths = 1, 1\n"
+                "region.bounds = 0.001, 0.002, 0.5, 0.51\nbasis.truncation = 12\n"
+                "horizon = 12\nsensor.1.kind = pointwise\nsensor.1.location = 0.31, 0.62\n")
+        assert main(["gramian", "--config", self.write(tmp_path, text)]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["trace_rank_deficient"] is True
+        deficient = [(round(g["eigenvalue"], 2), g["multiplicity"], g["trace_rank"])
+                     for g in results["group_margins"] if g["rank_deficient"]]
+        assert deficient == [(-493.48, 3, 2), (-1283.05, 4, 3)]
+
 
 class TestCheckVariants:
     def test_zonal_1d_has_no_blind_set_block(self):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from gradsense.errors import ScenarioError
-from gradsense.scenario import load_scenario, parse_number, parse_scenario
+from gradsense.scenario import (
+    load_scenario,
+    parse_number,
+    parse_number_list,
+    parse_scenario,
+)
 from gradsense.sensors import FilamentSensor, PointwiseSensor, ZonalSensor
 
 MINIMAL = """
@@ -31,6 +36,52 @@ class TestParseNumber:
             parse_number("three")
         with pytest.raises(ScenarioError):
             parse_number("1/0")
+
+    @pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", "+Infinity", "1e999"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(ScenarioError, match="not finite"):
+            parse_number(text)
+        with pytest.raises(ScenarioError, match="not finite"):
+            parse_number_list(f"1, {text}")
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("spelling", ["inf", "+inf", "Infinity"])
+    def test_horizon_may_be_infinite(self, spelling):
+        sc = parse_scenario(MINIMAL.replace("horizon = 1", f"horizon = {spelling}"))
+        assert sc.horizon == np.inf
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e999"])
+    def test_horizon_must_be_finite_or_plus_inf(self, value):
+        with pytest.raises(ScenarioError, match='key "horizon"'):
+            parse_scenario(MINIMAL.replace("horizon = 1", f"horizon = {value}"))
+
+    @pytest.mark.parametrize("key", ["tolerance.rank", "tolerance.margin", "noise.stddev",
+                                     "regularization.value", "quadrature.order"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_scalar_keys_reject_non_finite(self, key, value):
+        with pytest.raises(ScenarioError, match=f'key "{key}"'):
+            parse_scenario(MINIMAL + f"{key} = {value}\n")
+
+    @pytest.mark.parametrize("line", [
+        "time.grid = 0.1, nan",
+        "initial.coefficients = 1, inf",
+        "sensor.1.location = nan",
+        "region.bounds = 0.2, inf",
+    ])
+    def test_list_keys_reject_non_finite_and_name_the_key(self, line):
+        key = line.split(" = ")[0]
+        text = "\n".join(row for row in MINIMAL.splitlines()
+                         if not row.startswith(key + " ")) + "\n" + line + "\n"
+        with pytest.raises(ScenarioError, match=f'key "{key}"'):
+            parse_scenario(text)
+
+    def test_filament_curve_names_the_key(self):
+        text = ("domain.kind = rectangle\nregion.bounds = 0.2, 0.5, 0.2, 0.5\n"
+                "basis.truncation = 3\nsensor.1.kind = filament\n"
+                "sensor.1.curve = 0.1, 0.2; 0.8, nan\n")
+        with pytest.raises(ScenarioError, match='key "sensor.1.curve"'):
+            parse_scenario(text)
 
 
 class TestParseScenario:

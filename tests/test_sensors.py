@@ -10,15 +10,24 @@ from gradsense.sensors import (
     MeasurementSeries,
     PointwiseSensor,
     ZonalSensor,
+    _filament_nodes,
+    _zonal_weight_values,
     gradient_signature,
     pointwise_signatures,
+    sensor_nodes,
     signature_matrix,
     simulate_output,
     state_signature,
     validate_sensor,
     zonal_around,
 )
-from gradsense.spectral import Domain, build_basis
+from gradsense.spectral import (
+    Domain,
+    box_rule,
+    build_basis,
+    eigenfunction_gradients,
+    eigenfunction_values,
+)
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
@@ -156,6 +165,85 @@ class TestGradientSignature:
         for k, n in enumerate(basis.modes):
             exact = SQRT2 * (math.sin(n * PI * 0.6) - math.sin(n * PI * 0.4))
             assert sig[k] == pytest.approx(exact, abs=1e-12)
+
+
+def _per_kind_signatures(basis, sensor, quad=None):
+    """Reference: the state and componentwise gradient signatures as each
+    sensor kind used to compute them, before sensor_nodes."""
+    if isinstance(sensor, PointwiseSensor):
+        point = sensor.position[None, :]
+        return (eigenfunction_values(basis, point).T[0],
+                eigenfunction_gradients(basis, point)[:, :, 0])
+    if isinstance(sensor, ZonalSensor):
+        pts, w = box_rule(basis, sensor.box, quad)
+        f = _zonal_weight_values(sensor, pts)
+        return (eigenfunction_values(basis, pts) @ (f * w),
+                eigenfunction_gradients(basis, pts) @ (f * w))
+    pts, w = _filament_nodes(basis, sensor, quad)
+    return (eigenfunction_values(basis, pts) @ w * sensor.weight,
+            eigenfunction_gradients(basis, pts) @ w * sensor.weight)
+
+
+RECT = build_basis(Domain.rectangle(1.0, 1.4), 6)
+LINE = build_basis(Domain.interval(2.0), 12)
+BOX_2D = ((0.2, 0.45), (0.3, 0.9))
+WEIGHT_1 = [
+    (LINE, PointwiseSensor((Fraction(2, 3),))),
+    (LINE, PointwiseSensor((0.731,))),
+    (RECT, PointwiseSensor((0.31, 0.62))),
+    (LINE, ZonalSensor(box=((0.4, 1.1),))),
+    (LINE, ZonalSensor(box=((0.4, 1.1),), weight="bump")),
+    (RECT, ZonalSensor(box=BOX_2D)),
+    (RECT, ZonalSensor(box=BOX_2D, weight="bump")),
+    (RECT, ZonalSensor(box=BOX_2D, weight="tabulated",
+                       weight_values=tuple(1.0 + 0.01 * k for k in range(len(
+                           box_rule(RECT, BOX_2D)[1]))))),
+    (RECT, FilamentSensor(points=((0.1, 0.2), (0.8, 0.7)))),
+    (RECT, FilamentSensor(points=((0.1, 0.2), (0.8, 0.7), (0.3, 1.3)))),
+]
+
+
+class TestSensorNodes:
+    @pytest.mark.parametrize("basis, sensor", WEIGHT_1,
+                             ids=[f"{s.kind}-{k}" for k, (_, s) in enumerate(WEIGHT_1)])
+    def test_matches_per_kind_formulas_bit_for_bit(self, basis, sensor):
+        state, comps = _per_kind_signatures(basis, sensor)
+        assert np.array_equal(state_signature(basis, sensor), state)
+        assert np.array_equal(gradient_signature(basis, sensor, componentwise=True), comps)
+        assert np.array_equal(gradient_signature(basis, sensor), comps.sum(axis=1))
+
+    def test_filament_weight_folds_into_node_weights(self):
+        # weight times the node weights instead of times the contracted sum:
+        # equal up to rounding for weights other than 1
+        sensor = FilamentSensor(points=((0.1, 0.2), (0.8, 0.7)), weight=2.5)
+        state, comps = _per_kind_signatures(RECT, sensor)
+        scale = np.abs(comps).max()
+        np.testing.assert_allclose(state_signature(RECT, sensor), state,
+                                   rtol=1e-15, atol=1e-15 * np.abs(state).max())
+        np.testing.assert_allclose(gradient_signature(RECT, sensor, componentwise=True),
+                                   comps, rtol=1e-15, atol=1e-15 * scale)
+
+    def test_pointwise_node_is_the_location_with_weight_one(self):
+        points, weights = sensor_nodes(RECT, PointwiseSensor((0.31, 0.62)))
+        assert np.array_equal(points, [[0.31, 0.62]])
+        assert np.array_equal(weights, [1.0])
+
+    def test_weights_carry_the_zonal_and_filament_weights(self):
+        uniform = sensor_nodes(RECT, ZonalSensor(box=BOX_2D))
+        bump = sensor_nodes(RECT, ZonalSensor(box=BOX_2D, weight="bump"))
+        assert np.array_equal(uniform[0], bump[0])
+        assert uniform[1].sum() == pytest.approx(0.25 * 0.6, rel=1e-14)
+        assert np.all(bump[1] <= uniform[1])
+        plain = sensor_nodes(RECT, FilamentSensor(points=((0.1, 0.2), (0.8, 0.7))))
+        heavy = sensor_nodes(RECT, FilamentSensor(points=((0.1, 0.2), (0.8, 0.7)), weight=3.0))
+        assert plain[1].sum() == pytest.approx(math.hypot(0.7, 0.5), rel=1e-14)
+        assert np.array_equal(heavy[1], 3.0 * plain[1])
+
+    def test_sensor_is_validated(self):
+        with pytest.raises(ValidationError, match="outside the domain"):
+            sensor_nodes(RECT, PointwiseSensor((0.5, 1.5)))
+        with pytest.raises(ValidationError, match="2D"):
+            sensor_nodes(LINE, FilamentSensor(points=((0.1, 0.2), (0.8, 0.7))))
 
 
 class TestSignatureMatrix:

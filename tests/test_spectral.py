@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gradsense.errors import ValidationError
+from gradsense.errors import ComputationError, ValidationError
 from gradsense.quadrature import QuadratureSpec
 from gradsense.spectral import (
     Domain,
@@ -323,4 +323,14 @@ class TestNormOnRegion:
         field = GradientField(points=np.zeros((3, 1)), values=np.zeros((3, 1)))
         basis = build_basis(Domain.interval(1.0), 2)
         with pytest.raises(ValidationError):
+            norm_on_region(basis, field)
+
+    def test_nan_quadratic_form_raises(self):
+        # max(0.0, nan) is 0.0: a NaN must not pass as a zero norm
+        basis = build_basis(Domain.interval(1.0), 3)
+        with pytest.raises(ComputationError):
+            norm_on_region(basis, np.array([1.0, math.nan, 0.0]))
+        field = GradientField(points=np.zeros((2, 1)), values=np.array([[1.0], [math.nan]]),
+                              weights=np.ones(2))
+        with pytest.raises(ComputationError):
             norm_on_region(basis, field)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradsense.errors import ValidationError
-from gradsense.sensors import FilamentSensor, PointwiseSensor, ZonalSensor
+from gradsense.sensors import FilamentSensor, PointwiseSensor, ZonalSensor, signature_matrix
 from gradsense.spectral import Domain, Subregion, build_basis, gradient_gram
 from gradsense.strategic import (
     basis_split,
@@ -15,7 +15,6 @@ from gradsense.strategic import (
     exact_pointwise_verdict_1d,
     forbidden_sets_1d,
     group_eigenvalues,
-    group_signature_matrix,
     rank_test,
     residual_independence_check,
 )
@@ -75,22 +74,23 @@ class TestGrouping:
 class TestGroupSignatureMatrix:
     def test_blind_entry_at_half(self, basis25):
         groups = group_eigenvalues(basis25)
-        G = group_signature_matrix(groups[0], [PointwiseSensor((Fraction(1, 2),))],
-                                   basis25)
+        G = signature_matrix(basis25, [PointwiseSensor((Fraction(1, 2),))],
+                             "gradient")[:, list(groups[0].indices)]
         assert G.shape == (1, 1)
         assert abs(G[0, 0]) < 1e-13
 
     def test_value_at_third(self, basis25):
         groups = group_eigenvalues(basis25)
-        G = group_signature_matrix(groups[2], [PointwiseSensor((Fraction(1, 3),))],
-                                   basis25)
+        G = signature_matrix(basis25, [PointwiseSensor((Fraction(1, 3),))],
+                             "gradient")[:, list(groups[2].indices)]
         assert G[0, 0] == pytest.approx(-3 * SQRT2 * PI, rel=1e-12)
 
     def test_2d_single_sensor_rank_bounded_by_rows(self):
         basis = build_basis(Domain.rectangle(1.0, 1.0), 2)
         groups = group_eigenvalues(basis)
         pair_group = next(g for g in groups if g.multiplicity == 2)
-        G = group_signature_matrix(pair_group, [PointwiseSensor((0.3, 0.41))], basis)
+        G = signature_matrix(basis, [PointwiseSensor((0.3, 0.41))],
+                             "gradient")[:, list(pair_group.indices)]
         assert G.shape == (1, 2)
         assert np.linalg.matrix_rank(G) <= 1
 
@@ -243,10 +243,6 @@ class TestForbiddenSets:
             forbidden_sets_1d(0.0, 10)
         with pytest.raises(ValidationError):
             forbidden_sets_1d(Fraction(1), 10)
-
-    def test_exact_needs_fraction(self):
-        with pytest.raises(ValidationError):
-            forbidden_sets_1d(0.5, 10, exact=True)
 
 
 class TestExactJointVerdict:
