@@ -156,7 +156,9 @@ def assemble_gramian(basis: ModalBasis, sensors: list[Sensor], region: Subregion
 
     sig = signature_matrix(basis, sensors, signature_mode, quad)
     e = basis.eigenvalues
-    A = time_correlation(e[:, None], e[None, :], horizon) * (sig.T @ sig)
+    # kept until return: freeing it before W makes peak memory depend on heap layout
+    tau = time_correlation(e[:, None], e[None, :], horizon)
+    A = tau * (sig.T @ sig)
     A = 0.5 * (A + A.T)
 
     W = trace_gram if trace_gram is not None else gradient_gram(basis, region, quad)
