@@ -31,7 +31,6 @@ from .sensors import (
     simulate_output,
     state_signature,
     validate_sensor,
-    zonal_around,
 )
 from .spectral import (
     Domain,
@@ -39,11 +38,8 @@ from .spectral import (
     ModalBasis,
     Subregion,
     build_basis,
-    eval_eigenfunction,
-    eval_eigenfunction_gradient,
     gradient_gram,
     norm_on_region,
-    propagate,
 )
 from .strategic import (
     BasisSplit,
@@ -69,12 +65,12 @@ __all__ = [
     "QuadratureSpec", "ReconstructionResult", "Report", "Scenario", "ScenarioError",
     "StrategicVerdict", "Subregion", "ValidationError", "ZonalSensor",
     "assemble_gramian", "basis_split", "build_basis", "closed_form_condition",
-    "emit_report", "estimate_coefficients", "eval_eigenfunction",
-    "eval_eigenfunction_gradient", "exact_pointwise_verdict_1d", "forbidden_sets_1d",
+    "emit_report", "estimate_coefficients", "exact_pointwise_verdict_1d",
+    "forbidden_sets_1d",
     "gradient_field_on_region", "gradient_gram", "gradient_signature",
     "group_eigenvalues", "load_scenario", "location_scan",
-    "norm_on_region", "observability_constant", "parse_scenario", "propagate",
+    "norm_on_region", "observability_constant", "parse_scenario",
     "rank_test", "reconstruction_error", "residual_independence_check", "run_command",
     "sensor_nodes", "signature_matrix", "simulate_output", "state_signature", "time_correlation",
-    "validate_sensor", "zonal_around",
+    "validate_sensor",
 ]

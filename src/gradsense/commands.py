@@ -299,10 +299,8 @@ def _reconstruct_results(sc: Scenario, seed: int) -> dict:
     estimate = estimate_coefficients(series, sc.basis, list(sc.sensors),
                                      sc.signature_mode, sc.regularization,
                                      sc.reg_value, sc.identifiability_tol, sc.quad)
-    errors = reconstruction_error(coeffs, estimate.coefficients, sc.basis,
-                                  sc.region, sc.quad)
-    field = gradient_field_on_region(sc.basis, estimate.coefficients, sc.region,
-                                     grid=9, quad=sc.quad)
+    errors = reconstruction_error(coeffs, estimate.coefficients, sc.basis, sc.region)
+    field = gradient_field_on_region(sc.basis, estimate.coefficients, sc.region, grid=9)
     flagged = set(estimate.unidentifiable_modes)
     identifiable = [m not in flagged for m in sc.basis.modes]
     denom = float(np.linalg.norm(coeffs))
@@ -463,7 +461,7 @@ def location_scan(sc: Scenario, grid_spec: str | None = None) -> list[dict]:
         raise ValidationError(f"unknown signature mode {sc.signature_mode!r}")
 
     groups = group_eigenvalues(sc.basis, sc.grouping_rtol)
-    margins = pointwise_margins(sc.basis, groups, margin_sig, sc.region, sc.horizon, sc.quad)
+    margins = pointwise_margins(sc.basis, groups, margin_sig, sc.region, sc.horizon)
     grad_ok = rank_verdicts(groups, grad_sig[:, None, :], sc.rank_rtol)
     state_ok = rank_verdicts(groups, state_sig[:, None, :], sc.rank_rtol)
     rows = [{
@@ -516,8 +514,7 @@ def _grid_resolution(coords) -> float:
 
 def _split_results(sc: Scenario) -> dict:
     split = basis_split(sc.basis, list(sc.sensors), "gradient", sc.blind_tol, sc.quad)
-    independence = residual_independence_check(split.kernel_modes, sc.basis,
-                                               sc.region, sc.quad)
+    independence = residual_independence_check(split.kernel_modes, sc.basis, sc.region)
     kernel = set(split.kernel_modes)
     return {
         "signature_kind": split.signature_kind,
@@ -530,6 +527,4 @@ def _split_results(sc: Scenario) -> dict:
         "independent_outside_region": independence.independent,
         "vacuous": independence.vacuous,
         "smallest_eigenvalue": independence.smallest_eigenvalue,
-        "orthogonal_on_region": independence.orthogonal_on_region,
-        "max_offdiagonal": independence.max_offdiagonal,
     }

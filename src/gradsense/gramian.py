@@ -138,15 +138,13 @@ def assemble_gramian(basis: ModalBasis, sensors: list[Sensor], region: Subregion
                      horizon: float = 1.0, signature_mode: str = "gradient",
                      quad: QuadratureSpec | None = None,
                      grouping_rtol: float = DEFAULT_GROUPING_RTOL,
-                     margin_tol: float = DEFAULT_MARGIN_TOL,
-                     trace_gram: np.ndarray | None = None) -> GramianResult:
+                     margin_tol: float = DEFAULT_MARGIN_TOL) -> GramianResult:
     """Assemble the finite-rank Gramian and its observability margin.
 
     ``signature_mode`` selects which signatures weight the output Gram
     matrix: "gradient" matches the rank condition the margin certifies,
-    "state" gives the physical-output pairing.  A precomputed
-    ``trace_gram`` may be passed to amortize quadrature across calls with
-    identical basis and region.
+    "state" gives the physical-output pairing.  ``quad`` sets the node
+    sets of zonal and filament sensors.
     """
     _validate_gramian_inputs(basis, region, horizon)
     if not sensors:
@@ -161,7 +159,7 @@ def assemble_gramian(basis: ModalBasis, sensors: list[Sensor], region: Subregion
     A = tau * (sig.T @ sig)
     A = 0.5 * (A + A.T)
 
-    W = trace_gram if trace_gram is not None else gradient_gram(basis, region, quad)
+    W = gradient_gram(basis, region)
 
     groups = group_eigenvalues(basis, grouping_rtol)
     margins, ranks, overall = _group_margins(
@@ -188,8 +186,7 @@ def assemble_gramian(basis: ModalBasis, sensors: list[Sensor], region: Subregion
 
 
 def pointwise_margins(basis: ModalBasis, groups: list[EigenGroup], sig: np.ndarray,
-                      region: Subregion, horizon: float,
-                      quad: QuadratureSpec | None) -> np.ndarray:
+                      region: Subregion, horizon: float) -> np.ndarray:
     """Gramian margin of each single pointwise sensor with signature rows ``sig``.
 
     ``sig`` is (C, n_modes), the signature of one candidate location per
@@ -201,7 +198,7 @@ def pointwise_margins(basis: ModalBasis, groups: list[EigenGroup], sig: np.ndarr
     _validate_gramian_inputs(basis, region, horizon)
     e = basis.eigenvalues
     tau = time_correlation(e[:, None], e[None, :], horizon)
-    W = gradient_gram(basis, region, quad)
+    W = gradient_gram(basis, region)
 
     def block(idx):
         s = sig[:, idx]

@@ -25,7 +25,6 @@ from .spectral import (
     Mode,
     ModalBasis,
     Subregion,
-    box_rule,
     coefficient_vector,
     eigenfunction_gradients,
     norm_on_region,
@@ -151,7 +150,11 @@ def _discrepancy_penalty(y: np.ndarray, U: np.ndarray, s: np.ndarray, cut: float
 
     if target == 0.0 or residual(0.0) >= target:
         return 0.0
-    lo, hi = -16.0, 6.0
+    # log10 lam bracket: 1e-8 s^2 barely filters a singular value s and
+    # 1e8 s^2 all but removes it, so the root lies between these for the
+    # smallest positive and the largest singular value
+    lo = 2.0 * math.log10(s[s > 0][-1]) - 8.0
+    hi = 2.0 * math.log10(s[0]) + 8.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if residual(10.0 ** mid) < target:
@@ -162,39 +165,18 @@ def _discrepancy_penalty(y: np.ndarray, U: np.ndarray, s: np.ndarray, cut: float
 
 
 def gradient_field_on_region(basis: ModalBasis, coeffs: np.ndarray, region: Subregion,
-                             grid: int | np.ndarray | str = "quadrature",
-                             quad: QuadratureSpec | None = None) -> GradientField:
-    """Sample the coefficient combination of basis gradients over a region.
-
-    grid: "quadrature" uses the region's composite Gauss-Legendre nodes and
-    carries their weights, so the field can be normed; an integer requests
-    that many uniformly spaced interior points per axis; an explicit array
-    of points is used as given.  Points outside the region are rejected.
-    """
+                             grid: int) -> GradientField:
+    """Sample the coefficient combination of basis gradients over a region,
+    at ``grid`` uniformly spaced interior points per axis."""
     region.validate_in(basis.domain)
     a = coefficient_vector(basis, coeffs)
-    weights = None
-    if isinstance(grid, str):
-        if grid != "quadrature":
-            raise ValidationError(f"unknown grid spec {grid!r}")
-        points, weights = box_rule(basis, region.float_bounds, quad)
-    elif isinstance(grid, int):
-        if grid < 1:
-            raise ValidationError(f"grid point count must be >= 1, got {grid}")
-        points = tensor_points([np.linspace(lo, hi, grid + 2)[1:-1]
-                                for lo, hi in region.float_bounds])
-    else:
-        points = np.atleast_2d(np.asarray(grid, dtype=float))
-        if points.shape[1] != basis.dim:
-            raise ValidationError(
-                f"grid points have {points.shape[1]} coordinates, basis dimension is {basis.dim}")
-        for p in points:
-            if not region.contains(p, tol=1e-12):
-                raise ValidationError(f"grid point {tuple(p)} lies outside the region")
-
+    if grid < 1:
+        raise ValidationError(f"grid point count must be >= 1, got {grid}")
+    points = tensor_points([np.linspace(lo, hi, grid + 2)[1:-1]
+                            for lo, hi in region.float_bounds])
     grads = eigenfunction_gradients(basis, points)        # (N, dim, n_pts)
     values = np.einsum("m,mdp->pd", a, grads)
-    return GradientField(points=points, values=values, weights=weights)
+    return GradientField(points=points, values=values)
 
 
 @dataclass(frozen=True)
@@ -210,16 +192,14 @@ class ErrorRecord:
 
 
 def reconstruction_error(true_coeffs: np.ndarray, est_coeffs: np.ndarray,
-                         basis: ModalBasis, region: Subregion,
-                         quad: QuadratureSpec | None = None) -> ErrorRecord:
+                         basis: ModalBasis, region: Subregion) -> ErrorRecord:
     """L2 gradient error of the estimate, restricted and unrestricted."""
     e = coefficient_vector(basis, true_coeffs) - coefficient_vector(basis, est_coeffs)
     region.validate_in(basis.domain)
-    err_region = norm_on_region(basis, e, region, quad)
-    err_domain = norm_on_region(basis, e, None, quad)
+    err_region = norm_on_region(basis, e, region)
+    err_domain = norm_on_region(basis, e, None)
     record = ErrorRecord(err_region=err_region, err_domain=err_domain)
     if not record.restriction_ok:
         raise ComputationError(
-            f"restriction inequality violated: {err_region} > {err_domain}; "
-            "quadrature resolution is insufficient")
+            f"restriction inequality violated: {err_region} > {err_domain}")
     return record

@@ -38,18 +38,24 @@ def parse_number(text: str):
     text = text.strip()
     if "/" in text:
         try:
-            return Fraction(text)
+            value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ScenarioError(f"bad fraction {text!r}: {exc}") from None
+    else:
+        try:
+            value = int(text)
+        except ValueError:
+            try:
+                value = float(text)
+            except ValueError:
+                raise ScenarioError(f"bad number {text!r}") from None
+    # every number is used as a float somewhere, so an int or Fraction
+    # beyond the float range is as unusable as inf
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
-        raise ScenarioError(f"bad number {text!r}") from None
-    if not math.isfinite(value):
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ScenarioError(f"number {text!r} is not finite")
     return value
 

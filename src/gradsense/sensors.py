@@ -190,16 +190,10 @@ def state_signature(basis: ModalBasis, sensor: Sensor,
 
 
 def gradient_signature(basis: ModalBasis, sensor: Sensor,
-                       quad: QuadratureSpec | None = None,
-                       componentwise: bool = False) -> np.ndarray:
-    """Per-mode reading of the summed eigenfunction partial derivatives.
-
-    The scalar signature sums the axis partials; ``componentwise=True``
-    returns one column per axis instead, for sensitivity studies.
-    """
+                       quad: QuadratureSpec | None = None) -> np.ndarray:
+    """Per-mode reading of the summed eigenfunction partial derivatives."""
     pts, w = sensor_nodes(basis, sensor, quad)
-    comps = eigenfunction_gradients(basis, pts) @ w
-    return comps if componentwise else comps.sum(axis=1)
+    return (eigenfunction_gradients(basis, pts) @ w).sum(axis=1)
 
 
 def signature_matrix(basis: ModalBasis, sensors: list[Sensor], kind: str,
@@ -284,11 +278,3 @@ def simulate_output(basis: ModalBasis, coeffs: np.ndarray, sensors: list[Sensor]
         values = values + rng.normal(0.0, noise_std, size=values.shape)
     return MeasurementSeries(times=t, values=values, horizon=T)
 
-
-def zonal_around(center, half_widths, weight: str = "uniform") -> ZonalSensor:
-    """Axis-aligned box sensor centered at a point, for shrink studies."""
-    c = np.atleast_1d(np.asarray(
-        [_as_float(x) for x in np.atleast_1d(np.asarray(center, dtype=object))]))
-    h = np.broadcast_to(np.asarray(half_widths, dtype=float), c.shape)
-    box = tuple((float(ci - hi), float(ci + hi)) for ci, hi in zip(c, h))
-    return ZonalSensor(box=box, weight=weight)

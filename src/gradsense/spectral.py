@@ -1,9 +1,9 @@
 """Dirichlet Laplacian eigenbases on intervals and rectangles.
 
 Provides the truncated sine eigenbasis (globally on the domain, or adapted
-to a subregion), diffusion semigroup propagation of modal coefficients,
-analytic gradients, and quadrature-backed Gram matrices of gradient traces
-over subregions.  Everything here is a pure function of immutable inputs.
+to a subregion), analytic values and gradients, tensor quadrature rules
+over boxes, and closed-form Gram matrices of gradient traces over
+subregions.  Everything here is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ class Domain:
         if len(self.lengths) != expected:
             raise ValidationError(
                 f"{self.kind} domain needs {expected} length(s), got {len(self.lengths)}")
-        if any(not (L > 0) for L in self.lengths):
-            raise ValidationError(f"domain lengths must be positive, got {self.lengths}")
+        if any(not 0 < L < math.inf for L in self.lengths):
+            raise ValidationError(f"domain lengths must be finite and positive, got {self.lengths}")
 
     @staticmethod
     def interval(length: float = 1.0) -> "Domain":
@@ -121,11 +121,6 @@ class Subregion:
     def covers(self, domain: Domain, tol: float = 1e-12) -> bool:
         return all(lo <= tol and hi >= L - tol
                    for (lo, hi), L in zip(self.float_bounds, domain.lengths))
-
-    def contains(self, point, tol: float = 0.0) -> bool:
-        p = point_array(point, self.dim)
-        return all(lo - tol <= x <= hi + tol
-                   for x, (lo, hi) in zip(p, self.float_bounds))
 
 
 def point_array(point, dim: int) -> np.ndarray:
@@ -283,33 +278,6 @@ def box_rule(basis: ModalBasis, bounds, quad: QuadratureSpec | None = None
     return tensor_points([x for x, _ in rules]), weights
 
 
-def _closed_point(basis: ModalBasis, point) -> np.ndarray:
-    """``point`` as a (1, dim) array, checked to lie in the closed domain."""
-    p = point_array(point, basis.dim)
-    if not basis.domain.contains(p):
-        raise ValidationError(f"point {point!r} lies outside the closed domain")
-    return p[None, :]
-
-
-def eval_eigenfunction(basis: ModalBasis, mode: Mode, point) -> float:
-    """Analytic value of one eigenfunction at a point of the closed domain."""
-    p = _closed_point(basis, point)
-    return float(eigenfunction_values(basis, p)[basis.index_of(mode), 0])
-
-
-def eval_eigenfunction_gradient(basis: ModalBasis, mode: Mode, point) -> np.ndarray:
-    """Analytic gradient of one eigenfunction, one component per axis."""
-    p = _closed_point(basis, point)
-    return eigenfunction_gradients(basis, p)[basis.index_of(mode), :, 0].copy()
-
-
-def propagate(basis: ModalBasis, coeffs: np.ndarray, t: float) -> np.ndarray:
-    """Diffusion semigroup in modal coordinates: a_m -> exp(lambda_m t) a_m."""
-    if t < 0:
-        raise ValidationError(f"propagation time must be nonnegative, got {t}")
-    return coefficient_vector(basis, coeffs) * np.exp(basis.eigenvalues * t)
-
-
 def _axis_region(basis: ModalBasis, region: Subregion | None, axis: int
                  ) -> tuple[float, float]:
     if region is None:
@@ -317,25 +285,38 @@ def _axis_region(basis: ModalBasis, region: Subregion | None, axis: int
     return region.float_bounds[axis]
 
 
-def _axis_grams(basis: ModalBasis, region: Subregion | None, axis: int,
-                quad: QuadratureSpec | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cos_integral(k: np.ndarray, mid: float, half: float) -> np.ndarray:
+    """Integral of cos(k u) over [mid - half, mid + half], elementwise in k.
+
+    Written as 2 cos(k mid) sin(k half)/k, which has no cancellation, with
+    the limit 2 half at k = 0 (Abramowitz and Stegun 4.3).
+    """
+    safe = np.where(k == 0, 1, k)
+    return np.where(k == 0, 2.0 * half, 2.0 * np.cos(k * mid) * np.sin(k * half) / safe)
+
+
+def _axis_grams(basis: ModalBasis, region: Subregion | None,
+                axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-axis Gram matrices of the sine factors and of their derivatives.
 
     Returns (indices, value_gram, derivative_gram) over the region's side on
-    this axis, for the distinct axis indices appearing in the basis.
+    this axis, for the distinct axis indices appearing in the basis.  In
+    u = pi (x - offset)/span, product-to-sum turns each sin(iu) sin(ju) and
+    cos(iu) cos(ju) into cos((i - j)u) -+ cos((i + j)u), integrated in
+    closed form.
     """
     lo, hi = _axis_region(basis, region, axis)
-    _, span = basis.axis_interval(axis)
+    offset, span = basis.axis_interval(axis)
     indices = np.unique(basis.mode_axis_indices(axis))
-    cycles = 2.0 * indices.max() * (hi - lo) / span
-    x, w = interval_rule(lo, hi, cycles, quad)
-    s = _axis_sines(basis, axis, x, indices)
-    d = _axis_cosines(basis, axis, x, indices)
-    return indices, (s * w) @ s.T, (d * w) @ d.T
+    mid = (0.5 * (lo + hi) - offset) * (math.pi / span)
+    half = 0.5 * (hi - lo) * (math.pi / span)
+    i, j = indices[:, None], indices[None, :]
+    diff = _cos_integral(np.abs(i - j), mid, half)
+    total = _cos_integral(i + j, mid, half)
+    return indices, (diff - total) / math.pi, (i * j) * (math.pi / span ** 2) * (diff + total)
 
 
-def gradient_gram(basis: ModalBasis, region: Subregion | None = None,
-                  quad: QuadratureSpec | None = None) -> np.ndarray:
+def gradient_gram(basis: ModalBasis, region: Subregion | None = None) -> np.ndarray:
     """Gram matrix of the gradient traces on a subregion.
 
     W[m, m'] = sum_k  integral over the region of  d(phi_m)/dx_k * d(phi_m')/dx_k.
@@ -347,12 +328,12 @@ def gradient_gram(basis: ModalBasis, region: Subregion | None = None,
         if region.measure() <= 0:
             raise ValidationError("subregion has zero measure")
     if basis.dim == 1:
-        idx, _, dgram = _axis_grams(basis, region, 0, quad)
+        idx, _, dgram = _axis_grams(basis, region, 0)
         pos = np.searchsorted(idx, basis.mode_axis_indices(0))
         W = dgram[np.ix_(pos, pos)]
     else:
-        ix1, v1, d1 = _axis_grams(basis, region, 0, quad)
-        ix2, v2, d2 = _axis_grams(basis, region, 1, quad)
+        ix1, v1, d1 = _axis_grams(basis, region, 0)
+        ix2, v2, d2 = _axis_grams(basis, region, 1)
         p1 = np.searchsorted(ix1, basis.mode_axis_indices(0))
         p2 = np.searchsorted(ix2, basis.mode_axis_indices(1))
         W = (d1[np.ix_(p1, p1)] * v2[np.ix_(p2, p2)]
@@ -362,15 +343,10 @@ def gradient_gram(basis: ModalBasis, region: Subregion | None = None,
 
 @dataclass(frozen=True, eq=False)
 class GradientField:
-    """Sampled vector field: points (n_pts, dim), values (n_pts, dim).
-
-    ``weights`` are quadrature weights when the sample grid supports
-    integration; without them the field cannot be normed.
-    """
+    """Sampled vector field: points (n_pts, dim), values (n_pts, dim)."""
 
     points: np.ndarray
     values: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         if self.values.shape != self.points.shape:
@@ -379,21 +355,14 @@ class GradientField:
                 f"points shape {self.points.shape}")
 
 
-def norm_on_region(basis: ModalBasis, field, region: Subregion | None = None,
-                   quad: QuadratureSpec | None = None) -> float:
-    """L2 norm of a gradient-type vector field over a region.
+def norm_on_region(basis: ModalBasis, coeffs, region: Subregion | None = None) -> float:
+    """L2 norm over a region of the coefficient combination of basis gradients.
 
-    ``field`` is either a modal coefficient vector (the field is the
-    coefficient combination of basis gradients, normed through the gradient
-    Gram matrix) or a GradientField carrying its own quadrature weights.
+    Normed through the gradient Gram matrix; ``region=None`` is the whole
+    domain.
     """
-    if isinstance(field, GradientField):
-        if field.weights is None:
-            raise ValidationError("GradientField has no quadrature weights to integrate with")
-        square = float(np.sum(field.weights * np.sum(field.values ** 2, axis=1)))
-    else:
-        a = coefficient_vector(basis, field)
-        square = float(a @ gradient_gram(basis, region, quad) @ a)
+    a = coefficient_vector(basis, coeffs)
+    square = float(a @ gradient_gram(basis, region) @ a)
     if math.isnan(square):
         raise ComputationError("gradient norm is not a number; the field is not finite")
     return math.sqrt(max(0.0, square))

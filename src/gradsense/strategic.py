@@ -546,15 +546,11 @@ class IndependenceResult:
     ``independent`` holds when the Gram matrix of the kernel modes'
     gradient fields over the complement of the region is positive definite
     above tolerance, so no nonzero kernel combination vanishes there.
-    ``orthogonal_on_region`` reports whether those same gradient fields
-    are mutually orthogonal over the region itself.
     """
 
     independent: bool
     vacuous: bool
     smallest_eigenvalue: float | None
-    orthogonal_on_region: bool | None
-    max_offdiagonal: float | None
     tol: float
 
     def __bool__(self) -> bool:
@@ -562,34 +558,22 @@ class IndependenceResult:
 
 
 def residual_independence_check(kernel_modes: tuple[Mode, ...], basis: ModalBasis,
-                                region: Subregion, quad: QuadratureSpec | None = None,
-                                tol: float = 1e-8) -> IndependenceResult:
+                                region: Subregion, tol: float = 1e-8) -> IndependenceResult:
     """Check kernel modes for linear independence on the region complement."""
     if not kernel_modes:
         return IndependenceResult(independent=True, vacuous=True,
-                                  smallest_eigenvalue=None,
-                                  orthogonal_on_region=None,
-                                  max_offdiagonal=None, tol=tol)
+                                  smallest_eigenvalue=None, tol=tol)
     region.validate_in(basis.domain)
     if region.covers(basis.domain):
         raise ValidationError("region covers the whole domain; its complement has zero measure")
     idx = [basis.index_of(m) for m in kernel_modes]
-    W_domain = gradient_gram(basis, None, quad)
-    W_region = gradient_gram(basis, region, quad)
+    W_domain = gradient_gram(basis, None)
+    W_region = gradient_gram(basis, region)
     complement = (W_domain - W_region)[np.ix_(idx, idx)]
     eigs = np.linalg.eigvalsh(0.5 * (complement + complement.T))
     smallest = float(eigs[0])
-
-    on_region = W_region[np.ix_(idx, idx)]
-    diag_scale = float(np.abs(np.diag(on_region)).max())
-    off = on_region - np.diag(np.diag(on_region))
-    max_off = float(np.abs(off).max()) if off.size else 0.0
-    orthogonal = max_off <= tol * max(diag_scale, 1e-300)
-
     return IndependenceResult(
         independent=smallest > tol,
         vacuous=False,
         smallest_eigenvalue=smallest,
-        orthogonal_on_region=orthogonal,
-        max_offdiagonal=max_off,
         tol=tol)

@@ -22,15 +22,27 @@ from gradsense.sensors import PointwiseSensor, simulate_output
 from gradsense.spectral import (
     Domain,
     Subregion,
+    box_rule,
     build_basis,
-    eval_eigenfunction,
-    eval_eigenfunction_gradient,
+    eigenfunction_gradients,
+    eigenfunction_values,
     gradient_gram,
-    propagate,
 )
 from gradsense.strategic import rank_test
 
 PI = math.pi
+
+
+def _point(point):
+    return np.atleast_1d(np.asarray(point, dtype=float))[None, :]
+
+
+def _eigenfunction(basis, mode, point):
+    return float(eigenfunction_values(basis, _point(point))[basis.index_of(mode), 0])
+
+
+def _eigenfunction_gradient(basis, mode, point):
+    return eigenfunction_gradients(basis, _point(point))[basis.index_of(mode), :, 0]
 
 
 def check_scenario(location: str, rank_tol: str = "1e-10") -> str:
@@ -90,7 +102,6 @@ def test_criterion_3_margin_rank_cross_validation():
     start = time.perf_counter()
     basis = build_basis(Domain.interval(1.0), 12)
     region = Subregion.interval(0.2, 0.5)
-    trace_gram = gradient_gram(basis, region)
     blind = np.array(sorted({float(Fraction(2 * k + 1, 2 * n))
                              for n in range(1, 13) for k in range(n)}))
     assert all(Fraction(2 * k + 1, 2 * n).denominator <= 25
@@ -105,8 +116,7 @@ def test_criterion_3_margin_rank_cross_validation():
     for b in samples:
         sensor = PointwiseSensor((b,))
         margin = assemble_gramian(basis, [sensor], region, horizon=1.0,
-                                  signature_mode="gradient",
-                                  trace_gram=trace_gram).margin
+                                  signature_mode="gradient").margin
         passes = rank_test(basis, [sensor]).gradient_strategic
         agreements += int((margin > 1e-10) == passes)
     elapsed = time.perf_counter() - start
@@ -194,35 +204,38 @@ def test_criterion_7_numerical_hygiene():
     basis = build_basis(Domain.interval(1.0), 6)
     rng = np.random.default_rng(3)
 
-    # semigroup law at 1e-12 relative
+    # semigroup law of the forward map at 1e-12 relative
+    sensors = [PointwiseSensor((0.29,)), PointwiseSensor((0.66,))]
     for t1, t2 in ((0.1, 0.4), (0.05, 0.05), (0.0, 0.9)):
         coeffs = rng.normal(size=6)
-        once = propagate(basis, coeffs, t1 + t2)
-        twice = propagate(basis, propagate(basis, coeffs, t1), t2)
+        once = simulate_output(basis, coeffs, sensors, np.array([t1 + t2])).values
+        twice = simulate_output(basis, coeffs * np.exp(basis.eigenvalues * t1), sensors,
+                                np.array([t2])).values
         np.testing.assert_allclose(twice, once, rtol=1e-12)
 
     # analytic gradient vs central differences, absolute 1e-5 at h = 1e-6
     h = 1e-6
     square = build_basis(Domain.rectangle(1.0, 1.0), 2)
     for mode, point in ((2, 0.37), (5, 0.81)):
-        fd = (eval_eigenfunction(basis, mode, point + h)
-              - eval_eigenfunction(basis, mode, point - h)) / (2 * h)
-        assert abs(eval_eigenfunction_gradient(basis, mode, point)[0] - fd) <= 1e-5
+        fd = (_eigenfunction(basis, mode, point + h)
+              - _eigenfunction(basis, mode, point - h)) / (2 * h)
+        assert abs(_eigenfunction_gradient(basis, mode, point)[0] - fd) <= 1e-5
     for mode in ((1, 2), (2, 2)):
         point = np.array([0.43, 0.29])
-        grad = eval_eigenfunction_gradient(square, mode, point)
+        grad = _eigenfunction_gradient(square, mode, point)
         for axis in range(2):
             step = np.zeros(2)
             step[axis] = h
-            fd = (eval_eigenfunction(square, mode, point + step)
-                  - eval_eigenfunction(square, mode, point - step)) / (2 * h)
+            fd = (_eigenfunction(square, mode, point + step)
+                  - _eigenfunction(square, mode, point - step)) / (2 * h)
             assert abs(grad[axis] - fd) <= 1e-5
 
-    # quadrature order doubling below 1e-10
+    # closed-form trace Gram against order-32 Gauss-Legendre, below 1e-10
     region = Subregion.interval(0.15, 0.55)
-    W16 = gradient_gram(basis, region, QuadratureSpec(order=16))
-    W32 = gradient_gram(basis, region, QuadratureSpec(order=32))
-    assert np.abs(W16 - W32).max() < 1e-10
+    x, w = box_rule(basis, region.float_bounds, QuadratureSpec(order=32))
+    g = eigenfunction_gradients(basis, x)
+    W32 = np.einsum("mdp,ndp,p->mn", g, g, w)
+    assert np.abs(gradient_gram(basis, region) - W32).max() < 1e-10
 
     # Gramian output matrix is PSD to 1e-12, trace Gram to 1e-10
     gram = assemble_gramian(basis, [PointwiseSensor((0.29,)), PointwiseSensor((0.66,))],

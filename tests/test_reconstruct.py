@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradsense.commands import run_command
 from gradsense.errors import ComputationError, ValidationError
 from gradsense.reconstruct import (
     REGULARIZATIONS,
@@ -15,8 +16,16 @@ from gradsense.reconstruct import (
     gradient_field_on_region,
     reconstruction_error,
 )
+from gradsense.scenario import parse_scenario
 from gradsense.sensors import MeasurementSeries, PointwiseSensor, simulate_output
-from gradsense.spectral import Domain, Subregion, build_basis, norm_on_region
+from gradsense.spectral import (
+    Domain,
+    Subregion,
+    box_rule,
+    build_basis,
+    eigenfunction_gradients,
+    norm_on_region,
+)
 from gradsense.strategic import basis_split
 
 PI = math.pi
@@ -124,6 +133,36 @@ class TestEstimateCoefficients:
         assert est.residual_norm <= 2.0 * target
         assert est.residual_norm >= 0.3 * target
 
+    def test_discrepancy_root_below_1e_minus_16(self):
+        # smallest singular value about 1.9e-11: the penalty that meets the
+        # noise target lies near 3e-19, below a fixed 1e-16 bracket floor
+        text = """
+domain.kind = interval
+region.bounds = 0.314871, 0.622232
+basis.truncation = 40
+sensor.1.kind = pointwise
+sensor.1.location = 0.727457
+sensor.2.kind = pointwise
+sensor.2.location = 0.343675
+horizon = 1.242173
+time.samples = 256
+time.spacing = geometric
+signature_mode = state
+noise.stddev = 0.0001
+noise.seed = 457388
+regularization.kind = discrepancy
+regularization.value = 0.0001
+initial.coefficients = -0.580479, -0.0721473, -0.223303, 0.064722, 0.128717, 0.12784, \
+-0.220793, -0.218013, -0.0109512, 0.119981, -0.0225097, 0.0704645, 0.0962281, 0.0549593, \
+0.006335, 0.126703, -0.00198131, -0.0150182, -0.0184195, 0.0752531, -0.00942984, 0.038583, \
+-0.0503631, -0.0233709, -0.00956649, 0.0338301, 0.0422648, -0.0255955, -0.0427864, \
+0.0249607, -0.0215571, -0.0473639, -0.0106785, -0.0439294, -0.0370828, -0.0301527, \
+-0.0521659, -0.0580094, 0.00377934, 0.0299638
+"""
+        results = run_command(parse_scenario(text), "reconstruct").results
+        target = 1e-4 * math.sqrt(2 * 256)
+        assert results["residual_norm"] == pytest.approx(target, rel=1e-6)
+
     def test_empty_and_degenerate_errors(self, basis8):
         sensors = [PointwiseSensor((0.3,))]
         with pytest.raises(ValidationError):
@@ -204,8 +243,9 @@ class TestGradientField:
     def test_single_mode_closed_form(self):
         basis = build_basis(Domain.interval(1.0), 3)
         coeffs = np.array([1.0, 0.0, 0.0])
-        field = gradient_field_on_region(basis, coeffs, REGION,
-                                         grid=np.array([[0.25]]))
+        # five interior points per axis on (0.2, 0.5): the first is 0.25
+        field = gradient_field_on_region(basis, coeffs, REGION, grid=5)
+        assert field.points[0, 0] == pytest.approx(0.25, abs=1e-15)
         assert field.values[0, 0] == pytest.approx(math.sqrt(2.0) * PI * math.cos(PI / 4),
                                                    rel=1e-13)
         assert field.values[0, 0] == pytest.approx(PI, rel=1e-13)
@@ -219,25 +259,20 @@ class TestGradientField:
         basis = build_basis(Domain.interval(1.0), 3)
         e1 = np.array([1.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0, 0.0])
-        pts = np.array([[0.25], [0.3], [0.45]])
-        f1 = gradient_field_on_region(basis, e1, REGION, grid=pts)
-        f2 = gradient_field_on_region(basis, e2, REGION, grid=pts)
-        f12 = gradient_field_on_region(basis, e1 + e2, REGION, grid=pts)
+        f1 = gradient_field_on_region(basis, e1, REGION, grid=5)
+        f2 = gradient_field_on_region(basis, e2, REGION, grid=5)
+        f12 = gradient_field_on_region(basis, e1 + e2, REGION, grid=5)
         np.testing.assert_allclose(f12.values, f1.values + f2.values, rtol=1e-14)
-
-    def test_point_outside_region_rejected(self):
-        basis = build_basis(Domain.interval(1.0), 3)
-        with pytest.raises(ValidationError, match="outside the region"):
-            gradient_field_on_region(basis, np.zeros(3), REGION,
-                                     grid=np.array([[0.7]]))
 
     def test_quadrature_grid_norm_matches_gram(self):
         basis = build_basis(Domain.interval(1.0), 4)
         rng = np.random.default_rng(2)
         coeffs = rng.normal(size=4)
-        field = gradient_field_on_region(basis, coeffs, REGION, grid="quadrature")
-        assert field.weights is not None
-        sampled = norm_on_region(basis, field)
+        # an independent quadrature of the sampled field against the
+        # closed-form trace Gram
+        points, weights = box_rule(basis, REGION.float_bounds)
+        values = np.einsum("m,mdp->pd", coeffs, eigenfunction_gradients(basis, points))
+        sampled = math.sqrt(np.sum(weights * np.sum(values ** 2, axis=1)))
         modal = norm_on_region(basis, coeffs, REGION)
         assert sampled == pytest.approx(modal, rel=1e-12)
 
@@ -246,8 +281,9 @@ class TestGradientField:
         region = Subregion.rectangle(0.2, 0.8, 0.2, 0.8)
         coeffs = np.zeros(4)
         coeffs[basis.index_of((1, 1))] = 1.0
-        field = gradient_field_on_region(basis, coeffs, region,
-                                         grid=np.array([[0.25, 0.25]]))
+        # eleven interior points per axis on (0.2, 0.8): the first is (0.25, 0.25)
+        field = gradient_field_on_region(basis, coeffs, region, grid=11)
+        np.testing.assert_allclose(field.points[0], [0.25, 0.25], atol=1e-15)
         np.testing.assert_allclose(field.values[0], [PI, PI], rtol=1e-13)
 
 

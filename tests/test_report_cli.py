@@ -588,8 +588,15 @@ class TestCli:
          "basis.truncation = 3\nsensor.1.kind = pointwise\nsensor.1.location = 0.3, 0.4\n"),
         ("check", "domain.length", BASE.replace("domain.length = 1", "domain.length = inf")),
         ("check", "tolerance.rank", BASE + "tolerance.rank = inf\n"),
+        # integers and fractions beyond the float range are as unusable as inf
+        ("check", "tolerance.rank", BASE + "tolerance.rank = 1" + "0" * 400 + "\n"),
+        ("reconstruct", "initial.coefficients",
+         SIMULATE.replace("initial.coefficients = 1, 0, 0.5",
+                          "initial.coefficients = 1, 1" + "0" * 400)),
+        ("check", "sensor.1.location", BASE.replace("1/3", "1" + "0" * 400 + "/3")),
     ], ids=["horizon-nan", "noise-nan", "noise-inf", "regularization-nan", "coefficient-nan",
-            "coefficient-inf", "lengths-inf", "length-inf", "rank-tolerance-inf"])
+            "coefficient-inf", "lengths-inf", "length-inf", "rank-tolerance-inf",
+            "rank-tolerance-huge-int", "coefficient-huge-int", "location-huge-fraction"])
     def test_non_finite_input_exits_1_naming_its_key(self, tmp_path, capsys, command, key, text):
         code = main([command, "--config", self.write(tmp_path, text)])
         captured = capsys.readouterr()

@@ -19,7 +19,6 @@ from gradsense.sensors import (
     simulate_output,
     state_signature,
     validate_sensor,
-    zonal_around,
 )
 from gradsense.spectral import (
     Domain,
@@ -129,7 +128,7 @@ class TestStateSignature:
         point_sig = state_signature(basis, PointwiseSensor((b,)))
         errors = []
         for half in (0.08, 0.04, 0.02):
-            sensor = zonal_around(b, half)
+            sensor = ZonalSensor(box=((b - half, b + half),))
             avg = state_signature(basis, sensor) / (2 * half)
             errors.append(np.abs(avg - point_sig).max())
         assert errors[0] > errors[1] > errors[2]
@@ -150,13 +149,6 @@ class TestGradientSignature:
     def test_2d_summed_partials(self, square_basis):
         sig = gradient_signature(square_basis, PointwiseSensor((0.25, 0.25)))
         assert sig[square_basis.index_of((1, 1))] == pytest.approx(2 * PI, rel=1e-13)
-
-    def test_componentwise_sums_to_scalar(self, square_basis):
-        sensor = PointwiseSensor((0.31, 0.47))
-        comps = gradient_signature(square_basis, sensor, componentwise=True)
-        scalar = gradient_signature(square_basis, sensor)
-        assert comps.shape == (square_basis.n_modes, 2)
-        np.testing.assert_allclose(comps.sum(axis=1), scalar, rtol=1e-14)
 
     def test_zonal_gradient_matches_quadrature_oracle(self, basis):
         sensor = ZonalSensor(box=((0.4, 0.6),))
@@ -209,7 +201,6 @@ class TestSensorNodes:
     def test_matches_per_kind_formulas_bit_for_bit(self, basis, sensor):
         state, comps = _per_kind_signatures(basis, sensor)
         assert np.array_equal(state_signature(basis, sensor), state)
-        assert np.array_equal(gradient_signature(basis, sensor, componentwise=True), comps)
         assert np.array_equal(gradient_signature(basis, sensor), comps.sum(axis=1))
 
     def test_filament_weight_folds_into_node_weights(self):
@@ -220,8 +211,8 @@ class TestSensorNodes:
         scale = np.abs(comps).max()
         np.testing.assert_allclose(state_signature(RECT, sensor), state,
                                    rtol=1e-15, atol=1e-15 * np.abs(state).max())
-        np.testing.assert_allclose(gradient_signature(RECT, sensor, componentwise=True),
-                                   comps, rtol=1e-15, atol=1e-15 * scale)
+        np.testing.assert_allclose(gradient_signature(RECT, sensor), comps.sum(axis=1),
+                                   rtol=1e-15, atol=1e-15 * scale)
 
     def test_pointwise_node_is_the_location_with_weight_one(self):
         points, weights = sensor_nodes(RECT, PointwiseSensor((0.31, 0.62)))

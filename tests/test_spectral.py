@@ -5,16 +5,16 @@ import pytest
 
 from gradsense.errors import ComputationError, ValidationError
 from gradsense.quadrature import QuadratureSpec
+from gradsense.sensors import PointwiseSensor, signature_matrix, simulate_output
 from gradsense.spectral import (
     Domain,
-    GradientField,
     Subregion,
+    box_rule,
     build_basis,
-    eval_eigenfunction,
-    eval_eigenfunction_gradient,
+    eigenfunction_gradients,
+    eigenfunction_values,
     gradient_gram,
     norm_on_region,
-    propagate,
 )
 
 PI = math.pi
@@ -23,6 +23,37 @@ PI = math.pi
 @pytest.fixture
 def unit_basis():
     return build_basis(Domain.interval(1.0), 5)
+
+
+def _eigenfunction(basis, mode, point):
+    """One eigenfunction at one point, read off the batched evaluator."""
+    p = np.atleast_1d(np.asarray(point, dtype=float))[None, :]
+    return float(eigenfunction_values(basis, p)[basis.index_of(mode), 0])
+
+
+def _eigenfunction_gradient(basis, mode, point):
+    """One eigenfunction's gradient at one point, one component per axis."""
+    p = np.atleast_1d(np.asarray(point, dtype=float))[None, :]
+    return eigenfunction_gradients(basis, p)[basis.index_of(mode), :, 0]
+
+
+def _quadrature_gram(basis, region, order):
+    """Gradient Gram by composite Gauss-Legendre: an oracle for the closed form."""
+    x, w = box_rule(basis, region.float_bounds, QuadratureSpec(order=order))
+    g = eigenfunction_gradients(basis, x)
+    return np.einsum("mdp,ndp,p->mn", g, g, w)
+
+
+# at x_k = k/6 the sensors see the first five sines with discrete
+# orthogonality, sum_k phi_m(x_k) phi_n(x_k) = 6 delta_mn, so the output
+# norm is sqrt(6) times the coefficient norm
+GRID_SENSORS = [PointwiseSensor((k / 6,)) for k in range(1, 6)]
+
+
+def _forward(basis, coeffs, t):
+    """Noise-free outputs of GRID_SENSORS at time t: the semigroup as the
+    program applies it."""
+    return simulate_output(basis, coeffs, GRID_SENSORS, np.array([t])).values[:, 0]
 
 
 def closed_form_gram_entry(m, n, a, b):
@@ -41,6 +72,15 @@ class TestDomainGeometry:
             Domain.interval(0.0)
         with pytest.raises(ValidationError):
             Domain.rectangle(1.0, -2.0)
+
+    def test_lengths_must_be_finite(self):
+        # an infinite interval used to pass and give a wrong verdict
+        with pytest.raises(ValidationError, match="finite"):
+            Domain.interval(math.inf)
+        with pytest.raises(ValidationError, match="finite"):
+            Domain.rectangle(1.0, math.inf)
+        with pytest.raises(ValidationError, match="finite"):
+            Domain.interval(math.nan)
 
     def test_dimension(self):
         assert Domain.interval(2.0).dim == 1
@@ -69,7 +109,7 @@ class TestBuildBasis:
         xs = np.linspace(0.0, 1.0, 33)
         for n in (1, 2):
             for x in xs:
-                assert eval_eigenfunction(basis, n, x) == pytest.approx(
+                assert _eigenfunction(basis, n, x) == pytest.approx(
                     math.sqrt(2.0) * math.sin(n * PI * x), abs=1e-14)
 
     def test_2d_square_eigenvalues(self):
@@ -126,7 +166,7 @@ class TestBuildBasis:
         expected = (2.0 / math.sqrt(0.5 * 0.7)
                     * math.sin(2 * PI * (0.35 - 0.1) / 0.5)
                     * math.sin(1 * PI * (0.55 - 0.2) / 0.7))
-        assert eval_eigenfunction(basis, (2, 1), point) == pytest.approx(expected, rel=1e-13)
+        assert _eigenfunction(basis, (2, 1), point) == pytest.approx(expected, rel=1e-13)
 
 
 class TestOrthonormality:
@@ -156,39 +196,33 @@ class TestOrthonormality:
 
 class TestEvaluation:
     def test_values(self, unit_basis):
-        assert eval_eigenfunction(unit_basis, 1, 0.5) == pytest.approx(math.sqrt(2.0), rel=1e-14)
-        assert eval_eigenfunction(unit_basis, 2, 0.5) == pytest.approx(0.0, abs=1e-14)
+        assert _eigenfunction(unit_basis, 1, 0.5) == pytest.approx(math.sqrt(2.0), rel=1e-14)
+        assert _eigenfunction(unit_basis, 2, 0.5) == pytest.approx(0.0, abs=1e-14)
 
     def test_2d_value(self):
         basis = build_basis(Domain.rectangle(1.0, 1.0), 2)
-        assert eval_eigenfunction(basis, (1, 1), (0.5, 0.5)) == pytest.approx(2.0, rel=1e-14)
-
-    def test_point_outside_domain(self, unit_basis):
-        with pytest.raises(ValidationError):
-            eval_eigenfunction(unit_basis, 1, 1.5)
-        with pytest.raises(ValidationError):
-            eval_eigenfunction_gradient(unit_basis, 1, -0.1)
+        assert _eigenfunction(basis, (1, 1), (0.5, 0.5)) == pytest.approx(2.0, rel=1e-14)
 
     def test_unknown_mode(self, unit_basis):
         with pytest.raises(ValidationError):
-            eval_eigenfunction(unit_basis, 9, 0.5)
+            unit_basis.index_of(9)
 
     def test_gradient_values(self, unit_basis):
-        assert eval_eigenfunction_gradient(unit_basis, 1, 0.5)[0] == pytest.approx(0.0, abs=1e-13)
-        g = eval_eigenfunction_gradient(unit_basis, 3, 1.0 / 3.0)[0]
+        assert _eigenfunction_gradient(unit_basis, 1, 0.5)[0] == pytest.approx(0.0, abs=1e-13)
+        g = _eigenfunction_gradient(unit_basis, 3, 1.0 / 3.0)[0]
         assert g == pytest.approx(math.sqrt(2.0) * 3 * PI * math.cos(PI), rel=1e-12)
 
     def test_2d_gradient(self):
         basis = build_basis(Domain.rectangle(1.0, 1.0), 2)
-        g = eval_eigenfunction_gradient(basis, (1, 1), (0.25, 0.25))
+        g = _eigenfunction_gradient(basis, (1, 1), (0.25, 0.25))
         np.testing.assert_allclose(g, [PI, PI], rtol=1e-13)
 
     @pytest.mark.parametrize("mode,point", [(1, 0.37), (3, 0.62), (5, 0.11)])
     def test_gradient_matches_finite_differences_1d(self, unit_basis, mode, point):
         h = 1e-6
-        fd = (eval_eigenfunction(unit_basis, mode, point + h)
-              - eval_eigenfunction(unit_basis, mode, point - h)) / (2 * h)
-        g = eval_eigenfunction_gradient(unit_basis, mode, point)[0]
+        fd = (_eigenfunction(unit_basis, mode, point + h)
+              - _eigenfunction(unit_basis, mode, point - h)) / (2 * h)
+        g = _eigenfunction_gradient(unit_basis, mode, point)[0]
         assert g == pytest.approx(fd, abs=1e-5)
 
     @pytest.mark.parametrize("mode", [(1, 1), (2, 1), (2, 2)])
@@ -196,49 +230,52 @@ class TestEvaluation:
         basis = build_basis(Domain.rectangle(1.0, 1.0), 2)
         point = np.array([0.41, 0.23])
         h = 1e-6
-        g = eval_eigenfunction_gradient(basis, mode, point)
+        g = _eigenfunction_gradient(basis, mode, point)
         for axis in range(2):
             step = np.zeros(2)
             step[axis] = h
-            fd = (eval_eigenfunction(basis, mode, point + step)
-                  - eval_eigenfunction(basis, mode, point - step)) / (2 * h)
+            fd = (_eigenfunction(basis, mode, point + step)
+                  - _eigenfunction(basis, mode, point - step)) / (2 * h)
             assert g[axis] == pytest.approx(fd, abs=1e-5)
 
 
 class TestPropagate:
     def test_identity_at_zero(self, unit_basis):
         coeffs = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
-        np.testing.assert_array_equal(propagate(unit_basis, coeffs, 0.0), coeffs)
+        sig = signature_matrix(unit_basis, GRID_SENSORS, "state")
+        np.testing.assert_array_equal(_forward(unit_basis, coeffs, 0.0),
+                                      (sig @ coeffs[:, None])[:, 0])
 
     def test_single_mode_scalar_oracle(self, unit_basis):
         coeffs = np.zeros(5)
         coeffs[0] = 1.0
-        out = propagate(unit_basis, coeffs, 0.1)
-        assert out[0] == pytest.approx(math.exp(-0.1 * PI ** 2), rel=1e-15)
-        assert np.all(out[1:] == 0.0)
+        out = _forward(unit_basis, coeffs, 0.1)
+        sig = signature_matrix(unit_basis, GRID_SENSORS, "state")
+        np.testing.assert_allclose(out, math.exp(-0.1 * PI ** 2) * sig[:, 0], rtol=1e-15)
 
     @pytest.mark.parametrize("t1,t2", [(0.1, 0.2), (0.0, 0.7), (0.33, 0.05)])
     def test_semigroup_law(self, unit_basis, t1, t2):
         rng = np.random.default_rng(5)
         coeffs = rng.normal(size=5)
-        once = propagate(unit_basis, coeffs, t1 + t2)
-        twice = propagate(unit_basis, propagate(unit_basis, coeffs, t1), t2)
+        once = _forward(unit_basis, coeffs, t1 + t2)
+        twice = _forward(unit_basis, coeffs * np.exp(unit_basis.eigenvalues * t1), t2)
         np.testing.assert_allclose(twice, once, rtol=1e-12)
 
     def test_norm_decay(self, unit_basis):
         rng = np.random.default_rng(7)
         coeffs = rng.normal(size=5)
-        norms = [np.linalg.norm(propagate(unit_basis, coeffs, t))
+        norms = [np.linalg.norm(_forward(unit_basis, coeffs, t))
                  for t in np.linspace(0.0, 1.0, 11)]
+        assert norms[0] == pytest.approx(math.sqrt(6) * np.linalg.norm(coeffs), rel=1e-14)
         assert np.all(np.diff(norms) <= 1e-15)
 
     def test_negative_time_rejected(self, unit_basis):
         with pytest.raises(ValidationError):
-            propagate(unit_basis, np.zeros(5), -0.1)
+            _forward(unit_basis, np.zeros(5), -0.1)
 
     def test_length_mismatch(self, unit_basis):
         with pytest.raises(ValidationError):
-            propagate(unit_basis, np.zeros(4), 0.1)
+            _forward(unit_basis, np.zeros(4), 0.1)
 
 
 class TestGradientGram:
@@ -289,9 +326,9 @@ class TestGradientGram:
     def test_quadrature_order_doubling(self):
         basis = build_basis(Domain.interval(1.0), 8)
         region = Subregion.interval(0.15, 0.55)
-        W16 = gradient_gram(basis, region, QuadratureSpec(order=16))
-        W32 = gradient_gram(basis, region, QuadratureSpec(order=32))
-        assert np.abs(W16 - W32).max() < 1e-10
+        W = gradient_gram(basis, region)
+        W32 = _quadrature_gram(basis, region, 32)
+        assert np.abs(W - W32).max() < 1e-10
 
     def test_degenerate_region_rejected(self):
         basis = build_basis(Domain.interval(1.0), 2)
@@ -319,18 +356,8 @@ class TestNormOnRegion:
             full = norm_on_region(basis, coeffs, None)
             assert sub <= full + 1e-12
 
-    def test_sampled_field_requires_weights(self):
-        field = GradientField(points=np.zeros((3, 1)), values=np.zeros((3, 1)))
-        basis = build_basis(Domain.interval(1.0), 2)
-        with pytest.raises(ValidationError):
-            norm_on_region(basis, field)
-
     def test_nan_quadratic_form_raises(self):
         # max(0.0, nan) is 0.0: a NaN must not pass as a zero norm
         basis = build_basis(Domain.interval(1.0), 3)
         with pytest.raises(ComputationError):
             norm_on_region(basis, np.array([1.0, math.nan, 0.0]))
-        field = GradientField(points=np.zeros((2, 1)), values=np.array([[1.0], [math.nan]]),
-                              weights=np.ones(2))
-        with pytest.raises(ComputationError):
-            norm_on_region(basis, field)
